@@ -303,85 +303,6 @@ let measure_phase_timings () =
   Extr_telemetry.Metrics.set_enabled metrics metrics_were;
   (apps, phase_percentiles)
 
-(* Demand-driven slicing (ROADMAP item 1): callgraph + slicing wall-clock
-   per case-study app, whole-program eager construction vs the
-   demand-driven method index.  Warm min-of-3 through the phase spans —
-   the same measurement the per-app rows use — so the two modes differ
-   only in [op_eager_callgraph]. *)
-let measure_demand () =
-  let tracer = Span.default in
-  let entries = Corpus.case_studies () in
-  let rows =
-    List.map
-      (fun (e : Corpus.entry) ->
-        let name = e.Corpus.c_app.Spec.a_name in
-        let apk = Lazy.force e.Corpus.c_apk in
-        let base =
-          match name with
-          | "Kayak (case study)" ->
-              { Pipeline.default_options with Pipeline.op_scope = Some "com.kayak" }
-          | _ -> Pipeline.default_options
-        in
-        let measure eager =
-          let options = { base with Pipeline.op_eager_callgraph = eager } in
-          ignore (Pipeline.analyze ~options apk);
-          let best = ref infinity in
-          let last = ref None in
-          for _ = 1 to 3 do
-            let was = Span.is_enabled tracer in
-            Span.reset tracer;
-            Span.set_enabled tracer true;
-            let an = Pipeline.analyze ~options apk in
-            Span.set_enabled tracer was;
-            last := Some an;
-            let span_s sname =
-              match Span.find tracer sname with
-              | Some sp -> Span.duration_s sp
-              | None -> 0.
-            in
-            best :=
-              min !best
-                (span_s "pipeline.callgraph" +. span_s "pipeline.slicing")
-          done;
-          (!best, Option.get !last)
-        in
-        let eager_s, _ = measure true in
-        let demand_s, demand_an = measure false in
-        let speedup = if demand_s > 0. then eager_s /. demand_s else 0. in
-        (* The acceptance measurement: how much of the program demand
-           mode never resolved (the per-app form of the
-           slicer.skipped_method_ratio gauge). *)
-        let total =
-          List.length (Prog.app_methods demand_an.Pipeline.an_prog)
-        in
-        let skipped_ratio =
-          if total = 0 then 0.
-          else
-            float_of_int
-              (total - Callgraph.resolved_count demand_an.Pipeline.an_cg)
-            /. float_of_int total
-        in
-        Fmt.pf fmt
-          "  %-28s callgraph+slicing: eager %.4fs -> demand %.4fs (%.1fx, \
-           %.0f%% methods skipped)@\n"
-          name eager_s demand_s speedup (100. *. skipped_ratio);
-        Json.Obj
-          [
-            ("app", Json.Str name);
-            ("eager_cg_slicing_s", Json.Float eager_s);
-            ("demand_cg_slicing_s", Json.Float demand_s);
-            ("speedup", Json.Float speedup);
-            ("skipped_method_ratio", Json.Float skipped_ratio);
-          ])
-      entries
-  in
-  Json.List rows
-
-let run_demand () =
-  Fmt.pf fmt "Demand-driven slicing — eager vs method-index callgraph@\n";
-  ignore (measure_demand ());
-  Fmt.pf fmt "@\n"
-
 (* Machine-readable bench output: the per-app per-phase wall-clock rows
    plus the cache and worker-pool speedup benches, dumped to a JSON file
    CI can diff across commits (see --baseline). *)
@@ -655,14 +576,12 @@ let write_phase_timings path =
         ("speedup", Json.Float speedup);
       ]
   in
-  let demand = measure_demand () in
   let doc =
     Json.Obj
       [
         ("bench", Json.Str "pipeline");
         ("apps", Json.List apps);
         ("phase_percentiles", phase_percentiles);
-        ("demand", demand);
         ("cache", cache);
         ("pool", pool);
         ("shard", shard);
@@ -815,35 +734,6 @@ let run_baseline ~baseline ?(threshold = 1.5) ?(json = "BENCH_compare.json") ()
                 [ "p50_us" ])
         cp
   | _ -> ());
-  (* Demand-driven callgraph+slicing (ROADMAP item 1): the per-app
-     demand-mode wall-clock is re-measured and diffed row by row, so a
-     change that quietly degrades the lazy path back toward the eager
-     cost fails the gate even while total_s hides it in noise. *)
-  let demand = measure_demand () in
-  (match (Json.member "demand" base, demand) with
-  | Some (Json.List bl), Json.List cl ->
-      List.iter
-        (fun cur ->
-          let name =
-            match Json.member "app" cur with Some (Json.Str s) -> s | _ -> "?"
-          in
-          match
-            List.find_opt
-              (fun b -> Json.member "app" b = Some (Json.Str name))
-              bl
-          with
-          | None -> Fmt.pf fmt "  %-28s not in demand baseline (skipped)@\n" name
-          | Some b -> (
-              match
-                ( Option.bind (Json.member "demand_cg_slicing_s" b) num,
-                  Option.bind (Json.member "demand_cg_slicing_s" cur) num )
-              with
-              | Some bb, Some cc ->
-                  check ~scope:("demand." ^ name)
-                    ~metric:"demand_cg_slicing_s" ~floor:floor_s bb cc
-              | _ -> ()))
-        cl
-  | _, _ -> Fmt.pf fmt "  baseline has no demand rows (skipped)@\n");
   let rows = List.rev !rows in
   Fmt.pf fmt "  %-28s %-24s %12s %12s %8s@\n" "scope" "metric" "baseline"
     "current" "ratio";
@@ -859,7 +749,6 @@ let run_baseline ~baseline ?(threshold = 1.5) ?(json = "BENCH_compare.json") ()
         ("bench", Json.Str "pipeline");
         ("apps", Json.List apps);
         ("phase_percentiles", percentiles);
-        ("demand", demand);
         ( "comparison",
           Json.Obj
             [
@@ -926,7 +815,10 @@ let run_micro () =
     let prog =
       Prog.of_program (Pipeline.with_library_classes diode_apk.Apk.program)
     in
-    let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+    let cg =
+      Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+        ~callback_triggers:Callbacks.trigger_names prog
+    in
     let largest =
       match Prog.app_methods prog with
       | [] -> Fmt.failwith "Diode has no app methods"
@@ -954,7 +846,10 @@ let run_micro () =
         (Staged.stage (fun () ->
              let program = Pipeline.with_library_classes diode_apk.Apk.program in
              let prog = Prog.of_program program in
-             let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+             let cg =
+               Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+                 ~callback_triggers:Callbacks.trigger_names prog
+             in
              ignore (Slicer.run prog cg)));
       (* Demand-driven lookups: one statement's call-site records come
          from an O(1) per-method array slot (previously a linear walk of
@@ -1058,7 +953,10 @@ let run_ablate_aug () =
   let apk = Lazy.force e.Corpus.c_apk in
   let program = Pipeline.with_library_classes apk.Apk.program in
   let prog = Prog.of_program program in
-  let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+  let cg =
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog
+  in
   let sizes options =
     let slices = Slicer.run ~options prog cg in
     List.fold_left
@@ -1219,7 +1117,10 @@ let run_ablate_worklist () =
   let program = Pipeline.with_library_classes apk.Apk.program in
   let apk = { apk with Apk.program } in
   let prog = Prog.of_program program in
-  let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+  let cg =
+    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+      ~callback_triggers:Callbacks.trigger_names prog
+  in
   let slices = Slicer.run prog cg in
   let time options =
     let t0 = Unix.gettimeofday () in
@@ -1300,7 +1201,10 @@ let run_sweep () =
       let program = Pipeline.with_library_classes apk.Apk.program in
       let apk = { apk with Apk.program } in
       let prog = Prog.of_program program in
-      let cg = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
+      let cg =
+        Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+          ~callback_triggers:Callbacks.trigger_names prog
+      in
       let slices = Slicer.run prog cg in
       let time naive =
         let options =
@@ -1408,7 +1312,6 @@ let () =
   | [| _; "table6" |] -> run_table6 ()
   | [| _; "fig3" |] -> run_fig3 ()
   | [| _; "fig5" |] -> run_fig5 ()
-  | [| _; "demand" |] -> run_demand ()
   | [| _; "timing" |] -> run_timing ()
   | [| _; "timing"; "--json"; path |] -> run_timing ~json:path ()
   | [| _; "micro" |] -> run_micro ()

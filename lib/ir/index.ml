@@ -2,8 +2,9 @@
    one linear scan of the program, then O(1) candidate lookups.  Ordinals
    record the canonical scan position of every record so that lookups
    merged across several keys can be replayed in exactly the order a
-   whole-program scan would produce — the demand-driven paths depend on
-   that to stay byte-identical with the eager ones. *)
+   whole-program scan would produce — the call graph's caller lists, the
+   demarcation points and the async setter sites all come out in that
+   canonical order. *)
 
 module T = Types
 

@@ -1,10 +1,11 @@
-(* Demand-driven call graph vs the eager whole-program construction:
-   ROADMAP item 1 requires the two modes to be observationally identical
-   — same call-site records, same caller lists (contents AND order, since
-   caller order feeds the taint worklists), same reachability sets, and
-   byte-identical report envelopes end to end.  Also the regression test
-   for the work-stack [reachable_from]: deep synthetic call chains used
-   to blow the OCaml stack. *)
+(* The demand-driven call graph and the index-backed slicer lookups
+   against brute-force references built from whole-program scans: caller
+   lists must equal the inversion of every method's call sites (contents
+   AND order, since caller order feeds the taint worklists), and
+   demarcation points must equal a scan of every statement.  Also the
+   regression test for the work-stack [reachable_from] (deep synthetic
+   call chains used to blow the OCaml stack) and a check that laziness
+   actually skips methods. *)
 
 module Ir = Extr_ir.Types
 module B = Extr_ir.Builder
@@ -12,10 +13,11 @@ module Prog = Extr_ir.Prog
 module Callgraph = Extr_cfg.Callgraph
 module Api = Extr_semantics.Api
 module Callbacks = Extr_semantics.Callbacks
+module Demarcation = Extr_semantics.Demarcation
+module Slicer = Extr_slicing.Slicer
 module Apk = Extr_apk.Apk
 module Corpus = Extr_corpus.Corpus
 module Pipeline = Extr_extractocol.Pipeline
-module Report = Extr_extractocol.Report
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -25,93 +27,105 @@ let show_mid (m : Ir.method_id) = m.Ir.id_cls ^ "." ^ m.Ir.id_name
 let show_sid (s : Ir.stmt_id) =
   Printf.sprintf "%s:%d" (show_mid s.Ir.sid_meth) s.Ir.sid_idx
 
-let show_callsite (cs : Callgraph.callsite) =
-  Printf.sprintf "%s%s -> [%s]" (show_sid cs.Callgraph.cs_stmt)
-    (if cs.Callgraph.cs_implicit then " (implicit)" else "")
-    (String.concat "; " (List.map show_mid cs.Callgraph.cs_callees))
+let graph_of prog =
+  Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
+    ~callback_triggers:Callbacks.trigger_names prog
 
-let graphs_of prog =
-  let eager = Callgraph.build ~callback_resolver:Callbacks.resolve prog in
-  let demand =
-    Callgraph.lazy_build ~callback_resolver:Callbacks.resolve
-      ~callback_triggers:Callbacks.trigger_names prog
-  in
-  (eager, demand)
+let prog_of (apk : Apk.t) =
+  Prog.of_program (Pipeline.with_library_classes apk.Apk.program)
 
-(* Every observable of the graph agrees between the modes, for every
-   application method of [apk] — including list order. *)
-let check_graph_equivalence name (apk : Apk.t) =
-  let prog =
-    Prog.of_program (Pipeline.with_library_classes apk.Apk.program)
+(* Reference caller map: walk every application method in scan order and
+   cons each call site onto each of its targets, so every list ends up in
+   reverse scan order with one entry per target occurrence. *)
+let reference_callers prog =
+  let cg = graph_of prog in
+  List.fold_left
+    (fun acc (m : Ir.meth) ->
+      List.fold_left
+        (fun acc (cs : Callgraph.callsite) ->
+          List.fold_left
+            (fun acc c ->
+              Ir.Method_map.update c
+                (fun l -> Some (cs.Callgraph.cs_stmt :: Option.value l ~default:[]))
+                acc)
+            acc cs.Callgraph.cs_callees)
+        acc
+        (Callgraph.callsites cg (Ir.method_id_of_meth m)))
+    Ir.Method_map.empty (Prog.app_methods prog)
+
+(* Reference demarcation points: every statement of every in-scope
+   application method, in scan order. *)
+let reference_dps ?scope prog =
+  let in_scope (m : Ir.meth) =
+    match scope with
+    | None -> true
+    | Some prefix -> String.starts_with ~prefix m.Ir.m_cls
   in
-  let eager, demand = graphs_of prog in
-  let mids =
-    List.map Ir.method_id_of_meth (Prog.app_methods prog)
-    |> List.sort Ir.Method_id.compare
-  in
+  List.concat_map
+    (fun (m : Ir.meth) ->
+      if not (in_scope m) then []
+      else
+        let mid = Ir.method_id_of_meth m in
+        List.concat
+          (List.mapi
+             (fun idx stmt ->
+               match Ir.stmt_invoke stmt with
+               | Some invoke when Demarcation.find invoke <> None ->
+                   [ { Ir.sid_meth = mid; sid_idx = idx } ]
+               | Some _ | None -> [])
+             (Array.to_list m.Ir.m_body)))
+    (Prog.app_methods prog)
+
+let check_callers name (apk : Apk.t) =
+  let prog = prog_of apk in
+  let cg = graph_of prog in
+  let reference = reference_callers prog in
   List.iter
-    (fun mid ->
-      let ctx what = Printf.sprintf "%s: %s of %s" name what (show_mid mid) in
+    (fun (m : Ir.meth) ->
+      let mid = Ir.method_id_of_meth m in
       check
         Alcotest.(list string)
-        (ctx "callsites")
-        (List.map show_callsite (Callgraph.callsites eager mid))
-        (List.map show_callsite (Callgraph.callsites demand mid));
-      check
-        Alcotest.(list string)
-        (ctx "callers")
-        (List.map show_sid (Callgraph.callers eager mid))
-        (List.map show_sid (Callgraph.callers demand mid)))
-    mids;
-  let entries = List.map Ir.method_id_of_ref (Apk.entry_points apk) in
-  let reach cg =
-    Callgraph.reachable_from cg entries
-    |> Ir.Method_set.elements |> List.map show_mid
-  in
+        (Printf.sprintf "%s: callers of %s" name (show_mid mid))
+        (List.map show_sid
+           (Option.value (Ir.Method_map.find_opt mid reference) ~default:[]))
+        (List.map show_sid (Callgraph.callers cg mid)))
+    (Prog.app_methods prog)
+
+let check_dps name ?scope (apk : Apk.t) =
+  let prog = prog_of apk in
+  let index = Callgraph.index (graph_of prog) in
   check
     Alcotest.(list string)
-    (name ^ ": reachable_from entry points")
-    (reach eager) (reach demand)
+    (name ^ ": demarcation points")
+    (List.map show_sid (reference_dps ?scope prog))
+    (List.map
+       (fun (dp : Slicer.dp_site) -> show_sid dp.Slicer.dp_stmt)
+       (Slicer.find_demarcation_points ?scope index))
+
+let generated () = Corpus.generated ~seed:42 ~count:50
+
+let each_app f entries =
+  List.iter
+    (fun (e : Corpus.entry) ->
+      f e.Corpus.c_app.Extr_corpus.Spec.a_name (Lazy.force e.Corpus.c_apk))
+    entries
 
 (* (a) 50 generated apps — the --gen stress corpus exercises deep call
    chains, shared helpers, listeners and unreachable filler methods. *)
-let test_generated_equivalence () =
-  List.iter
-    (fun (e : Corpus.entry) ->
-      check_graph_equivalence e.Corpus.c_app.Extr_corpus.Spec.a_name
-        (Lazy.force e.Corpus.c_apk))
-    (Corpus.generated ~seed:42 ~count:50)
+let test_generated_callers () = each_app check_callers (generated ())
 
 (* (b) The hand-authored case studies carry the implicit-edge patterns
    (AsyncTask, Volley listeners, Timer, SQLite) the generator does not. *)
-let test_case_study_equivalence () =
-  List.iter
-    (fun (e : Corpus.entry) ->
-      check_graph_equivalence e.Corpus.c_app.Extr_corpus.Spec.a_name
-        (Lazy.force e.Corpus.c_apk))
-    (Corpus.case_studies ())
+let test_case_study_callers () = each_app check_callers (Corpus.case_studies ())
 
-(* (c) Full-pipeline envelope byte-identity: the report rendered from a
-   demand-driven analysis must equal the eager one character for
-   character, per case study, under that app's own configuration. *)
-let test_envelope_identity () =
-  List.iter
-    (fun (e : Corpus.entry) ->
-      let app = e.Corpus.c_app in
-      let base =
-        if app.Extr_corpus.Spec.a_closed then Pipeline.default_options
-        else Pipeline.open_source_options
-      in
-      let apk = Lazy.force e.Corpus.c_apk in
-      let render eager_cg =
-        let options = { base with Pipeline.op_eager_callgraph = eager_cg } in
-        let report = (Pipeline.analyze ~options apk).Pipeline.an_report in
-        (* Wall time is the one legitimately nondeterministic field. *)
-        Format.asprintf "%a" Report.pp { report with Report.rp_elapsed_s = 0.0 }
-      in
-      check Alcotest.string
-        (app.Extr_corpus.Spec.a_name ^ ": envelope identical across modes")
-        (render true) (render false))
+(* (c) Index-driven demarcation discovery finds exactly the scan's sites,
+   in the scan's order — with and without a class-prefix scope. *)
+let test_demarcation_points () =
+  each_app (fun name apk -> check_dps name apk) (generated ());
+  each_app
+    (fun name apk ->
+      check_dps name apk;
+      check_dps name ~scope:"com.kayak" apk)
     (Corpus.case_studies ())
 
 (* (d) Work-stack regression: a 100k-deep synthetic call chain must not
@@ -135,39 +149,29 @@ let test_deep_chain_reachability () =
         p_entries = [];
       }
   in
-  let _, demand = graphs_of prog in
   let reach =
-    Callgraph.reachable_from demand [ { Ir.id_cls = "Chain"; id_name = "m0" } ]
+    Callgraph.reachable_from (graph_of prog)
+      [ { Ir.id_cls = "Chain"; id_name = "m0" } ]
   in
   check Alcotest.int "whole chain reachable" depth (Ir.Method_set.cardinal reach)
 
-(* (e) Laziness is real: after a full pipeline run in demand mode, some
-   app methods must never have been resolved (generated apps always
-   carry unreachable filler helpers), while the eager run resolves all. *)
+(* (e) Laziness is real: after a full pipeline run, some app methods must
+   never have been resolved (generated apps always carry unreachable
+   filler helpers). *)
 let test_demand_skips_methods () =
   let skipped_total = ref 0 in
   List.iter
     (fun (e : Corpus.entry) ->
-      let apk = Lazy.force e.Corpus.c_apk in
-      let total an = List.length (Prog.app_methods an.Pipeline.an_prog) in
-      let run eager_cg =
-        let options =
-          { Pipeline.default_options with Pipeline.op_eager_callgraph = eager_cg }
-        in
-        Pipeline.analyze ~options apk
-      in
-      let eager = run true in
-      check Alcotest.int "eager resolves every method" (total eager)
-        (Callgraph.resolved_count eager.Pipeline.an_cg);
-      let demand = run false in
-      let resolved = Callgraph.resolved_count demand.Pipeline.an_cg in
-      check Alcotest.bool "demand never resolves more than exist" true
-        (resolved <= total demand);
-      skipped_total := !skipped_total + (total demand - resolved))
+      let an = Pipeline.analyze (Lazy.force e.Corpus.c_apk) in
+      let total = List.length (Prog.app_methods an.Pipeline.an_prog) in
+      let resolved = Callgraph.resolved_count an.Pipeline.an_cg in
+      check Alcotest.bool "never resolves more than exist" true
+        (resolved <= total);
+      skipped_total := !skipped_total + (total - resolved))
     (Corpus.generated ~seed:42 ~count:20);
   (* Not every generated app carries unreachable helpers, but a 20-app
-     batch always does somewhere — zero would mean demand mode silently
-     resolves the whole program. *)
+     batch always does somewhere — zero would mean the call graph
+     silently resolves the whole program. *)
   check Alcotest.bool "some method skipped across the batch" true
     (!skipped_total > 0)
 
@@ -176,9 +180,9 @@ let () =
     [
       ( "equivalence",
         [
-          tc "generated corpus (50 apps)" test_generated_equivalence;
-          tc "case studies" test_case_study_equivalence;
-          tc "report envelopes byte-identical" test_envelope_identity;
+          tc "generated corpus (50 apps)" test_generated_callers;
+          tc "case studies" test_case_study_callers;
+          tc "demarcation points vs statement scan" test_demarcation_points;
         ] );
       ( "laziness",
         [

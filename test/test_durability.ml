@@ -14,6 +14,7 @@ module Retry = Extr_resilience.Retry
 module Journal = Extr_resilience.Journal
 module Store = Extr_store.Store
 module Runner = Extr_eval.Runner
+module Pipeline = Extr_extractocol.Pipeline
 module Clock = Extr_telemetry.Clock
 module Metrics = Extr_telemetry.Metrics
 module Export = Extr_telemetry.Export
@@ -591,6 +592,25 @@ let test_runner_resume_byte_identical () =
     (Runner.report_json ~config cold)
     (Runner.report_json ~config resumed)
 
+(* The fingerprints are the identity of every cache key and journal
+   header: a changed string orphans existing caches and refuses existing
+   journals on --resume.  Pinned verbatim, so adding or removing an
+   options field cannot change them unnoticed. *)
+let test_fingerprints_pinned () =
+  check Alcotest.string "pipeline default_options"
+    "async=true;aiter=1;aug=true;scope=-;ctx=true;restrict=true;\
+     intents=false;steps=20000000;depth=24;deadline=-"
+    (Pipeline.options_fingerprint Pipeline.default_options);
+  check Alcotest.string "pipeline open_source_options"
+    "async=false;aiter=1;aug=true;scope=-;ctx=true;restrict=true;\
+     intents=false;steps=20000000;depth=24;deadline=-"
+    (Pipeline.options_fingerprint Pipeline.open_source_options);
+  check Alcotest.string "runner default_options"
+    "async=true;aiter=1;aug=true;scope=-;ctx=true;restrict=true;\
+     intents=false;steps=20000000;depth=24;deadline=-;retry=3/1;\
+     backoff=0.05;escalate=4x/+8/2x;v1"
+    (Runner.config_fingerprint Runner.default_options)
+
 let test_runner_resume_refuses_config_mismatch () =
   let dir = tmp_dir () in
   let journal = Filename.concat dir "journal.jsonl" in
@@ -821,6 +841,7 @@ let () =
           tc "kill + resume is byte-identical" test_runner_resume_byte_identical;
           tc "resume refuses a changed configuration"
             test_runner_resume_refuses_config_mismatch;
+          tc "fingerprints pinned" test_fingerprints_pinned;
           tc "interrupt returns partial results" test_runner_interrupt_partial;
           tc "materialization crash quarantined behind the barrier"
             test_runner_materialization_crash_quarantined;
