@@ -39,6 +39,7 @@ module Profile = Extr_telemetry.Profile
 module Provenance = Extr_provenance.Provenance
 module Retry = Extr_resilience.Retry
 module Budget = Extr_resilience.Resilience.Budget
+module Store = Extr_store.Store
 
 let fmt = Fmt.stdout
 
@@ -412,7 +413,6 @@ let write_phase_timings path =
     let runs = 5 in
     let gen_entries = Corpus.generated ~seed:3 ~count:100 in
     let module Journal = Extr_resilience.Journal in
-    let module Store = Extr_store.Store in
     let time_once tag ~integrity ~heartbeat =
       let dir = Filename.temp_file "bench_watchdog" "" in
       Sys.remove dir;
@@ -805,6 +805,12 @@ let run_micro () =
     Option.get (Corpus.find (Corpus.case_studies ()) "radio reddit")
   in
   let rr_apk = Lazy.force rr_entry.Corpus.c_apk in
+  let paper_apk name =
+    let all = Corpus.case_studies () @ Corpus.table1 () in
+    Lazy.force (Option.get (Corpus.find all name)).Corpus.c_apk
+  in
+  let shareddp_apk = paper_apk "SharedDP" and pinterest_apk = paper_apk "Pinterest" in
+  let config = Runner.config_fingerprint Runner.default_options in
   let regex =
     Regex.of_pattern "http://www\\.reddit\\.com/search/\\.json\\?q=(.*)&sort=(.*)"
   in
@@ -857,6 +863,13 @@ let run_micro () =
       Test.make ~name:"callgraph:callsite-at"
         (Staged.stage (fun () ->
              ignore (Callgraph.callsite_at diode_cg diode_last_sid)));
+      (* Farm per-app fixed cost: the result-cache key prints the whole
+         program into the buffer it digests, once per app on every run,
+         warm or cold.  The smallest app and the heaviest one. *)
+      Test.make ~name:"store:key-shareddp"
+        (Staged.stage (fun () -> ignore (Store.key ~config shareddp_apk)));
+      Test.make ~name:"store:key-pinterest"
+        (Staged.stage (fun () -> ignore (Store.key ~config pinterest_apk)));
       (* §5.1 signature validity: regex matching over traces. *)
       Test.make ~name:"regex:uri-match"
         (Staged.stage (fun () ->

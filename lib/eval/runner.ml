@@ -245,8 +245,12 @@ let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
   match
     Barrier.protect ~app:id (fun () ->
         Barrier.set_phase "codegen";
-        let apk = Lazy.force e.Corpus.c_apk in
-        (apk, Store.key ~config apk))
+        let args = [ ("app", id) ] in
+        let apk =
+          Span.with_span ~args "corpus.codegen" (fun () ->
+              Lazy.force e.Corpus.c_apk)
+        in
+        (apk, Span.with_span ~args "store.key" (fun () -> Store.key ~config apk)))
   with
   | Result.Error crash ->
       jot

@@ -1,29 +1,37 @@
 (* Textual Limple printer.  The output is accepted by {!Parser}, so programs
    round-trip between in-memory and textual forms.  Method bodies declare
    every local with its type up front so the parser can reconstruct typed
-   variables without inference. *)
+   variables without inference.
+
+   Every printer appends straight to a [Buffer.t]: the text is also the
+   cache-key material ([Store.key] digests it for every app of a farm run),
+   so it is built in one pass with no intermediate strings.  Each sequence
+   of appends below reads left to right as the text it produces. *)
 
 open Types
 
-let rec pp_ty fmt = function
-  | Void -> Fmt.string fmt "void"
-  | Int -> Fmt.string fmt "int"
-  | Bool -> Fmt.string fmt "bool"
-  | Str -> Fmt.string fmt "str"
-  | Obj c -> Fmt.string fmt c
-  | Arr t -> Fmt.pf fmt "%a[]" pp_ty t
+let add = Buffer.add_string
+let addc = Buffer.add_char
 
-let ty_to_string t = Fmt.str "%a" pp_ty t
+let rec add_ty buf = function
+  | Void -> add buf "void"
+  | Int -> add buf "int"
+  | Bool -> add buf "bool"
+  | Str -> add buf "str"
+  | Obj c -> add buf c
+  | Arr t -> add_ty buf t; add buf "[]"
 
-let pp_const fmt = function
-  | Cint n -> Fmt.int fmt n
-  | Cbool b -> Fmt.bool fmt b
-  | Cstr s -> Fmt.pf fmt "%S" s
-  | Cnull -> Fmt.string fmt "null"
+(* String constants use OCaml lexical syntax ([String.escaped] between
+   double quotes), which {!Parser} reads back. *)
+let add_const buf = function
+  | Cint n -> add buf (string_of_int n)
+  | Cbool b -> add buf (string_of_bool b)
+  | Cstr s -> addc buf '"'; add buf (String.escaped s); addc buf '"'
+  | Cnull -> add buf "null"
 
-let pp_value fmt = function
-  | Const c -> pp_const fmt c
-  | Local v -> Fmt.string fmt v.vname
+let add_value buf = function
+  | Const c -> add_const buf c
+  | Local v -> add buf v.vname
 
 let binop_symbol = function
   | Add -> "+"
@@ -39,53 +47,66 @@ let binop_symbol = function
   | And -> "&&"
   | Or -> "||"
 
-let pp_field_ref fmt (f : field_ref) =
-  Fmt.pf fmt "<%s:%s:%a>" f.fcls f.fname pp_ty f.fty
+(* [f x1, f x2, ...] *)
+let add_comma_list buf f = function
+  | [] -> ()
+  | x :: rest -> f buf x; List.iter (fun y -> add buf ", "; f buf y) rest
 
-let pp_invoke fmt { ikind; iref; ibase; iargs } =
-  let kind =
-    match ikind with
-    | Virtual -> "virtual"
-    | Special -> "special"
-    | Static -> "static"
-  in
-  let pp_args = Fmt.list ~sep:(Fmt.any ", ") pp_value in
-  match ibase with
-  | Some b ->
-      Fmt.pf fmt "%s %s.<%s.%s:%a>(%a)" kind b.vname iref.mcls iref.mname
-        pp_ty iref.mret pp_args iargs
-  | None ->
-      Fmt.pf fmt "%s <%s.%s:%a>(%a)" kind iref.mcls iref.mname pp_ty iref.mret
-        pp_args iargs
+(* [<cls:fname:ty>] *)
+let add_field_ref buf (f : field_ref) =
+  addc buf '<'; add buf f.fcls; addc buf ':'; add buf f.fname; addc buf ':';
+  add_ty buf f.fty; addc buf '>'
 
-let pp_expr fmt = function
-  | Val v -> pp_value fmt v
+(* [virtual base.<cls.m:ret>(args)], or [static <cls.m:ret>(args)]. *)
+let add_invoke buf { ikind; iref; ibase; iargs } =
+  add buf
+    (match ikind with
+    | Virtual -> "virtual "
+    | Special -> "special "
+    | Static -> "static ");
+  (match ibase with Some b -> add buf b.vname; addc buf '.' | None -> ());
+  addc buf '<'; add buf iref.mcls; addc buf '.'; add buf iref.mname;
+  addc buf ':'; add_ty buf iref.mret; add buf ">(";
+  add_comma_list buf add_value iargs; addc buf ')'
+
+(* [x.<cls:f:ty>] and [a[i]]: instance field and array element, read or
+   written. *)
+let add_ifield buf x f = add buf x.vname; addc buf '.'; add_field_ref buf f
+
+let add_elem buf a i =
+  add buf a.vname; addc buf '['; add_value buf i; addc buf ']'
+
+let add_expr buf = function
+  | Val v -> add_value buf v
   | Binop (op, a, b) ->
-      Fmt.pf fmt "%a %s %a" pp_value a (binop_symbol op) pp_value b
-  | New c -> Fmt.pf fmt "new %s" c
-  | NewArr (t, n) -> Fmt.pf fmt "newarray %a[%a]" pp_ty t pp_value n
-  | IField (x, f) -> Fmt.pf fmt "%s.%a" x.vname pp_field_ref f
-  | SField f -> pp_field_ref fmt f
-  | AElem (a, i) -> Fmt.pf fmt "%s[%a]" a.vname pp_value i
-  | ALen a -> Fmt.pf fmt "lengthof %s" a.vname
-  | Invoke i -> pp_invoke fmt i
-  | Cast (t, v) -> Fmt.pf fmt "(%a) %a" pp_ty t pp_value v
+      add_value buf a; addc buf ' '; add buf (binop_symbol op); addc buf ' ';
+      add_value buf b
+  | New c -> add buf "new "; add buf c
+  | NewArr (t, n) ->
+      add buf "newarray "; add_ty buf t; addc buf '['; add_value buf n;
+      addc buf ']'
+  | IField (x, f) -> add_ifield buf x f
+  | SField f -> add_field_ref buf f
+  | AElem (a, i) -> add_elem buf a i
+  | ALen a -> add buf "lengthof "; add buf a.vname
+  | Invoke i -> add_invoke buf i
+  | Cast (t, v) -> addc buf '('; add_ty buf t; add buf ") "; add_value buf v
 
-let pp_lhs fmt = function
-  | Lvar v -> Fmt.string fmt v.vname
-  | Lfield (x, f) -> Fmt.pf fmt "%s.%a" x.vname pp_field_ref f
-  | Lsfield f -> pp_field_ref fmt f
-  | Lelem (a, i) -> Fmt.pf fmt "%s[%a]" a.vname pp_value i
+let add_lhs buf = function
+  | Lvar v -> add buf v.vname
+  | Lfield (x, f) -> add_ifield buf x f
+  | Lsfield f -> add_field_ref buf f
+  | Lelem (a, i) -> add_elem buf a i
 
-let pp_stmt fmt = function
-  | Assign (l, e) -> Fmt.pf fmt "%a = %a" pp_lhs l pp_expr e
-  | InvokeStmt i -> pp_invoke fmt i
-  | If (v, l) -> Fmt.pf fmt "if %a goto %s" pp_value v l
-  | Goto l -> Fmt.pf fmt "goto %s" l
-  | Lab l -> Fmt.pf fmt "label %s" l
-  | Return None -> Fmt.string fmt "return"
-  | Return (Some v) -> Fmt.pf fmt "return %a" pp_value v
-  | Nop -> Fmt.string fmt "nop"
+let add_stmt buf = function
+  | Assign (l, e) -> add_lhs buf l; add buf " = "; add_expr buf e
+  | InvokeStmt i -> add_invoke buf i
+  | If (v, l) -> add buf "if "; add_value buf v; add buf " goto "; add buf l
+  | Goto l -> add buf "goto "; add buf l
+  | Lab l -> add buf "label "; add buf l
+  | Return None -> add buf "return"
+  | Return (Some v) -> add buf "return "; add_value buf v
+  | Nop -> add buf "nop"
 
 (** Locals referenced by a body, excluding parameters and [this]. *)
 let body_locals (m : meth) =
@@ -106,37 +127,45 @@ let body_locals (m : meth) =
     m.m_body;
   List.rev !acc
 
-let pp_meth fmt (m : meth) =
-  let pp_param fmt v = Fmt.pf fmt "%a %s" pp_ty v.vty v.vname in
-  Fmt.pf fmt "  %s%a %s(%a) {@\n"
-    (if m.m_static then "static " else "")
-    pp_ty m.m_ret m.m_name
-    (Fmt.list ~sep:(Fmt.any ", ") pp_param)
-    m.m_params;
+(* [ty name]: a parameter, or the tail of a local declaration. *)
+let add_typed_var buf v = add_ty buf v.vty; addc buf ' '; add buf v.vname
+
+let add_meth buf (m : meth) =
+  add buf (if m.m_static then "  static " else "  ");
+  add_ty buf m.m_ret; addc buf ' '; add buf m.m_name; addc buf '(';
+  add_comma_list buf add_typed_var m.m_params; add buf ") {\n";
   List.iter
-    (fun v -> Fmt.pf fmt "    local %a %s;@\n" pp_ty v.vty v.vname)
+    (fun v -> add buf "    local "; add_typed_var buf v; add buf ";\n")
     (body_locals m);
-  Array.iter (fun s -> Fmt.pf fmt "    %a;@\n" pp_stmt s) m.m_body;
-  Fmt.pf fmt "  }@\n"
+  Array.iter (fun s -> add buf "    "; add_stmt buf s; add buf ";\n") m.m_body;
+  add buf "  }\n"
 
-let pp_field_decl fmt (f : field) =
-  Fmt.pf fmt "  %sfield %a %s;@\n"
-    (if f.f_static then "static " else "")
-    pp_ty f.f_ty f.f_name
+let add_field_decl buf (f : field) =
+  add buf (if f.f_static then "  static field " else "  field ");
+  add_ty buf f.f_ty; addc buf ' '; add buf f.f_name; add buf ";\n"
 
-let pp_cls fmt (c : cls) =
-  Fmt.pf fmt "%sclass %s%a {@\n"
-    (if c.c_library then "library " else "")
-    c.c_name
-    Fmt.(option (any " extends " ++ string))
-    c.c_super;
-  List.iter (pp_field_decl fmt) c.c_fields;
-  List.iter (pp_meth fmt) c.c_methods;
-  Fmt.pf fmt "}@\n"
+let add_cls buf (c : cls) =
+  add buf (if c.c_library then "library class " else "class ");
+  add buf c.c_name;
+  (match c.c_super with Some s -> add buf " extends "; add buf s | None -> ());
+  add buf " {\n";
+  List.iter (add_field_decl buf) c.c_fields;
+  List.iter (add_meth buf) c.c_methods;
+  add buf "}\n"
 
-let pp_program fmt (p : program) =
-  List.iter (fun e -> Fmt.pf fmt "entry %s.%s;@\n" e.mcls e.mname) p.p_entries;
-  List.iter (pp_cls fmt) p.p_classes
+let add_program buf (p : program) =
+  List.iter
+    (fun e ->
+      add buf "entry "; add buf e.mcls; addc buf '.'; add buf e.mname;
+      add buf ";\n")
+    p.p_entries;
+  List.iter (add_cls buf) p.p_classes
 
-let program_to_string p = Fmt.str "%a" pp_program p
-let stmt_to_string s = Fmt.str "%a" pp_stmt s
+let to_string f x =
+  let buf = Buffer.create 256 in
+  f buf x;
+  Buffer.contents buf
+
+let program_to_string p = to_string add_program p
+let stmt_to_string s = to_string add_stmt s
+let ty_to_string t = to_string add_ty t

@@ -2,38 +2,22 @@
 
     The output is accepted by {!Parser}, so programs round-trip between
     in-memory and textual forms.  Method bodies declare every local with
-    its type up front so the parser can reconstruct typed variables
-    without inference. *)
+    its type up front (in first-occurrence order, excluding parameters
+    and [this]) so the parser can reconstruct typed variables without
+    inference.
+
+    There is one printer: {!add_program} appends the text to a
+    [Buffer.t] in a single pass, and the [*_to_string] functions are
+    wrappers around it.  The text is also the content part of every
+    result-cache key ([Store.key] prints into the buffer it digests), so
+    its bytes are pinned by golden tests: changing them moves every cache
+    key. *)
 
 open Types
 
-val pp_ty : Format.formatter -> ty -> unit
-val ty_to_string : ty -> string
-val pp_const : Format.formatter -> const -> unit
-val pp_value : Format.formatter -> value -> unit
-
-val binop_symbol : binop -> string
-(** Surface syntax of a binary operator ([Add] is ["+"], …). *)
-
-val pp_field_ref : Format.formatter -> field_ref -> unit
-(** [<cls:fname:ty>] — the form {!Parser} reads back. *)
-
-val pp_invoke : Format.formatter -> invoke -> unit
-(** [virtual base.<cls.m:ret>(args)] (or [static <cls.m:ret>(args)]). *)
-
-val pp_expr : Format.formatter -> expr -> unit
-val pp_lhs : Format.formatter -> lhs -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-
-val body_locals : meth -> var list
-(** Locals referenced by a body, excluding parameters and [this], in
-    first-occurrence order; these become the method's [local] preamble. *)
-
-val pp_meth : Format.formatter -> meth -> unit
-val pp_cls : Format.formatter -> cls -> unit
-
-val pp_program : Format.formatter -> program -> unit
+val add_program : Buffer.t -> program -> unit
 (** Entry declarations first, then every class. *)
 
 val program_to_string : program -> string
 val stmt_to_string : stmt -> string
+val ty_to_string : ty -> string

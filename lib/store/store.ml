@@ -27,18 +27,42 @@ let analysis_version = 1
 
 type key = string
 
+(* Backslash-escape [\\], newline and every character of [special] in a
+   header field, so that field and record separators stay unambiguous and
+   the header is injective.  A field holding none of them (every corpus
+   field) is appended as-is, which keeps existing keys stable. *)
+let add_escaped buf ~special s =
+  String.iter
+    (function
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c when String.contains special c ->
+          Buffer.add_char buf '\\';
+          Buffer.add_char buf c
+      | c -> Buffer.add_char buf c)
+    s
+
 let key ?(version = analysis_version) ~config (apk : Apk.t) : key =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "version=%d\n" version);
-  Buffer.add_string buf (Printf.sprintf "config=%s\n" config);
+  let buf = Buffer.create 65536 in
+  Printf.bprintf buf "version=%d\nconfig=%s\nmanifest=" version config;
   let mf = apk.Apk.manifest in
-  Buffer.add_string buf
-    (Printf.sprintf "manifest=%s|%s|%s\n" mf.Apk.mf_package mf.Apk.mf_label
-       (String.concat "," mf.Apk.mf_activities));
+  add_escaped buf ~special:"|" mf.Apk.mf_package;
+  Buffer.add_char buf '|';
+  add_escaped buf ~special:"|" mf.Apk.mf_label;
+  Buffer.add_char buf '|';
+  List.iteri
+    (fun i a ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_escaped buf ~special:"|," a)
+    mf.Apk.mf_activities;
+  Buffer.add_char buf '\n';
   List.iter
-    (fun (id, s) -> Buffer.add_string buf (Printf.sprintf "res=%d:%s\n" id s))
+    (fun (id, s) ->
+      Printf.bprintf buf "res=%d:" id;
+      add_escaped buf ~special:"" s;
+      Buffer.add_char buf '\n')
     apk.Apk.resources;
-  Buffer.add_string buf (Pp.program_to_string apk.Apk.program);
+  Pp.add_program buf apk.Apk.program;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let key_to_string k = k

@@ -26,7 +26,12 @@ val key : ?version:int -> config:string -> Apk.t -> key
 (** Digest of the app content (textual Limple program, manifest,
     resource table), the [config] fingerprint (see
     {!Extr_extractocol.Pipeline.options_fingerprint}) and the analysis
-    [version] (default {!analysis_version}). *)
+    [version] (default {!analysis_version}).  The program part is
+    {!Extr_ir.Pp.add_program}'s text, printed straight into the digested
+    buffer.  The header fields are backslash-escaped so that two
+    different apps never share a key: [\\], [|] and newline in the
+    package, label and activities, [,] too in activities, and [\\] and
+    newline in resource strings. *)
 
 val key_to_string : key -> string
 val key_of_string : string -> key option

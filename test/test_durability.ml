@@ -13,6 +13,7 @@ module Barrier = Resilience.Barrier
 module Retry = Extr_resilience.Retry
 module Journal = Extr_resilience.Journal
 module Store = Extr_store.Store
+module Apk = Extr_apk.Apk
 module Runner = Extr_eval.Runner
 module Pipeline = Extr_extractocol.Pipeline
 module Clock = Extr_telemetry.Clock
@@ -611,6 +612,61 @@ let test_fingerprints_pinned () =
      backoff=0.05;escalate=4x/+8/2x;v1"
     (Runner.config_fingerprint Runner.default_options)
 
+(* Cache keys filled by earlier builds must keep hitting: the printer and
+   the header encoding are both pinned by these digests. *)
+let test_keys_pinned () =
+  let config = Runner.config_fingerprint Runner.default_options in
+  let key e = Store.key_to_string (Store.key ~config (Lazy.force e.Corpus.c_apk)) in
+  let paper = Corpus.case_studies () @ Corpus.table1 () in
+  List.iter
+    (fun (name, expected) ->
+      match Corpus.find paper name with
+      | Some e -> check Alcotest.string name expected (key e)
+      | None -> Alcotest.failf "%s missing from the corpus" name)
+    [
+      ("SharedDP", "77fd214885368e7c9a47c3ae0a366fba");
+      ("AOL: Mail, News & Video", "a3c040579b6dd49830c9dd491c6da9cb");
+    ];
+  let keys = List.map key (Corpus.generated ~seed:1 ~count:1000) in
+  check Alcotest.string "gen seed 1 x1000, digest of all keys"
+    "2c40da13145984da8c6c9c16e8b582f5"
+    (Digest.to_hex (Digest.string (String.concat "" keys)))
+
+(* Header fields that differ only in where a separator falls must not
+   share a key. *)
+let test_key_header_injective () =
+  let config = Runner.config_fingerprint Runner.default_options in
+  let apk = corpus_apk 0 in
+  let mf = apk.Apk.manifest in
+  let with_manifest ?(package = mf.Apk.mf_package) ?(label = mf.Apk.mf_label)
+      ?(activities = mf.Apk.mf_activities) () =
+    {
+      apk with
+      Apk.manifest =
+        { Apk.mf_package = package; mf_label = label; mf_activities = activities };
+    }
+  in
+  let distinct what a b =
+    check Alcotest.bool what true
+      (Store.key_to_string (Store.key ~config a)
+      <> Store.key_to_string (Store.key ~config b))
+  in
+  distinct "separator moves from package to label"
+    (with_manifest ~package:"p|q" ~label:"r" ())
+    (with_manifest ~package:"p" ~label:"q|r" ());
+  distinct "separator moves from label to activities"
+    (with_manifest ~label:"l|a" ~activities:[] ())
+    (with_manifest ~label:"l" ~activities:[ "a" ] ());
+  distinct "comma inside one activity vs two activities"
+    (with_manifest ~activities:[ "a,b" ] ())
+    (with_manifest ~activities:[ "a"; "b" ] ());
+  distinct "escaped backslash vs escaped separator"
+    (with_manifest ~package:"p\\" ~label:"|r" ())
+    (with_manifest ~package:"p\\|" ~label:"r" ());
+  distinct "newline inside one resource vs two resources"
+    { apk with Apk.resources = [ (1, "x\nres=2:y") ] }
+    { apk with Apk.resources = [ (1, "x"); (2, "y") ] }
+
 let test_runner_resume_refuses_config_mismatch () =
   let dir = tmp_dir () in
   let journal = Filename.concat dir "journal.jsonl" in
@@ -842,6 +898,8 @@ let () =
           tc "resume refuses a changed configuration"
             test_runner_resume_refuses_config_mismatch;
           tc "fingerprints pinned" test_fingerprints_pinned;
+          tc "cache keys pinned" test_keys_pinned;
+          tc "cache key header is injective" test_key_header_injective;
           tc "interrupt returns partial results" test_runner_interrupt_partial;
           tc "materialization crash quarantined behind the barrier"
             test_runner_materialization_crash_quarantined;

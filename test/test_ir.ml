@@ -10,6 +10,7 @@ module Prog = Extr_ir.Prog
 module Api = Extr_semantics.Api
 module Apk = Extr_apk.Apk
 module Obfuscator = Extr_apk.Obfuscator
+module Chaos = Extr_resilience.Chaos
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -126,7 +127,7 @@ let test_roundtrip () =
   let p' = Parser.parse_program text in
   check Alcotest.string "round-trip is stable" text (Pp.program_to_string p')
 
-let test_roundtrip_constructs () =
+let constructs_program () =
   let cls = "com.t.R" in
   let m =
     B.mk_meth ~cls ~name:"all" ~params:[ B.local "p" Ir.Str ] ~ret:Ir.Str
@@ -154,10 +155,198 @@ let test_roundtrip_constructs () =
       ~fields:[ B.mk_field ~static:true "fld" Ir.Int ]
       cls [ m ]
   in
-  let p = { Ir.p_classes = [ c ]; p_entries = [] } in
+  { Ir.p_classes = [ c ]; p_entries = [] }
+
+let test_roundtrip_constructs () =
+  let p = constructs_program () in
   let text = Pp.program_to_string p in
   let p' = Parser.parse_program text in
   check Alcotest.string "all-constructs round trip" text (Pp.program_to_string p')
+
+(* ------------------------------------------------------------------ *)
+(* Printer golden text                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The round-trip tests compare the printer with itself; these pin its
+   bytes.  The text is the program part of every result-cache key, so
+   any drift here orphans every cached result. *)
+
+let lines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls)
+
+let test_golden_constructs () =
+  check Alcotest.string "all-constructs text"
+    (lines
+       [
+         "class com.t.R extends java.lang.Object {";
+         "  static field int fld;";
+         "  str all(str p) {";
+         "    local java.lang.StringBuilder t0;";
+         "    local int t1;";
+         "    local int[] t2;";
+         "    local int t3;";
+         "    local int t4;";
+         "    local int t5;";
+         "    local int t6;";
+         "    local int t7;";
+         "    local str t8;";
+         "    t0 = new java.lang.StringBuilder;";
+         "    special t0.<java.lang.StringBuilder.<init>:void>(\"x\\\"y\\n\");";
+         "    t1 = -3;";
+         "    t2 = newarray int[t1];";
+         "    t2[0] = 7;";
+         "    t3 = t2[0];";
+         "    t4 = lengthof t2;";
+         "    t5 = t3 + t4;";
+         "    <com.t.R:fld:int> = t5;";
+         "    t6 = <com.t.R:fld:int>;";
+         "    t7 = (int) t6;";
+         "    t8 = virtual t0.<java.lang.StringBuilder.toString:str>();";
+         "    return t8;";
+         "  }";
+         "}";
+       ])
+    (Pp.program_to_string (constructs_program ()))
+
+(* Every hostile constant, including a 4096-char line far past any
+   pretty-printer margin and Format-looking [@] directives, on its own
+   line with no wrapping. *)
+let test_golden_hostile_strings () =
+  let cls = "com.t.H" in
+  let m =
+    B.mk_meth ~static:true ~cls ~name:"h" ~params:[] ~ret:Ir.Void (fun b ->
+        List.iter
+          (fun s -> ignore (B.define b Ir.Str (Ir.Val (B.vstr s))))
+          (Chaos.hostile_strings @ [ "user@example.com @[<v 2>@]" ]);
+        B.return_void b)
+  in
+  let p =
+    {
+      Ir.p_classes = [ B.mk_cls ~super:Api.java_object cls [ m ] ];
+      p_entries = [ B.mref cls "h" 0 ];
+    }
+  in
+  check Alcotest.string "hostile-constants text"
+    (lines
+       [
+         "entry com.t.H.h;";
+         "class com.t.H extends java.lang.Object {";
+         "  static void h() {";
+         "    local str t0;";
+         "    local str t1;";
+         "    local str t2;";
+         "    local str t3;";
+         "    local str t4;";
+         "    local str t5;";
+         "    local str t6;";
+         "    t0 = \"" ^ String.make 4096 'A' ^ "\";";
+         "    t1 = \"(((((.*+?[]{}|\\\\^$)))))\";";
+         "    t2 = \"%s%n%x%%\";";
+         "    t3 = \"\\000\\255\\254\\001 mixed \\n\\r\\t \\\"quotes\\\" \\\\backslash\";";
+         "    t4 = \"https://evil.example/\\000?q=((([^]&=&=&=\";";
+         "    t5 = \"\";";
+         "    t6 = \"user@example.com @[<v 2>@]\";";
+         "    return;";
+         "  }";
+         "}";
+       ])
+    (Pp.program_to_string p)
+
+let test_golden_declarations () =
+  let lib =
+    B.mk_cls ~library:true
+      ~fields:[ B.mk_field "f" Ir.Str; B.mk_field ~static:true "n" Ir.Int ]
+      "com.t.L"
+      [
+        B.mk_meth ~cls:"com.t.L" ~name:"m"
+          ~params:[ B.local "a" Ir.Int; B.local "b" (Ir.Arr Ir.Str) ]
+          ~ret:Ir.Bool
+          (fun b -> B.return_value b (B.vbool true));
+      ]
+  in
+  let p =
+    {
+      Ir.p_classes = [ lib ];
+      p_entries = [ B.mref "com.t.L" "m" 2; B.mref "com.t.A" "onCreate" 0 ];
+    }
+  in
+  check Alcotest.string "declarations text"
+    (lines
+       [
+         "entry com.t.L.m;";
+         "entry com.t.A.onCreate;";
+         "library class com.t.L {";
+         "  field str f;";
+         "  static field int n;";
+         "  bool m(int a, str[] b) {";
+         "    return true;";
+         "  }";
+         "}";
+       ])
+    (Pp.program_to_string p)
+
+let test_golden_stmts () =
+  let x = B.local "x" (Ir.Obj "com.t.C") and y = B.local "y" Ir.Str in
+  let a = B.local "a" (Ir.Arr Ir.Int) and i = B.local "i" Ir.Int in
+  let f = { Ir.fcls = "com.t.C"; fname = "g"; fty = Ir.Str } in
+  let sf =
+    { Ir.fcls = "com.t.C"; fname = "S"; fty = Ir.Arr (Ir.Obj "com.t.D") }
+  in
+  let binop op = Ir.Assign (Ir.Lvar i, Ir.Binop (op, Ir.Local i, B.vint 1)) in
+  List.iter
+    (fun (expected, s) ->
+      check Alcotest.string expected expected (Pp.stmt_to_string s))
+    Ir.
+      [
+        ("i = -3", Assign (Lvar i, Val (B.vint (-3))));
+        ("i = true", Assign (Lvar i, Val (B.vbool true)));
+        ("x = null", Assign (Lvar x, Val B.vnull));
+        ( "y = \"tab\\there \\\"q\\\" \\\\ \\001\\233\"",
+          Assign (Lvar y, Val (B.vstr "tab\there \"q\" \\ \x01\xe9")) );
+        ("x.<com.t.C:g:str> = y", Assign (Lfield (x, f), Val (Local y)));
+        ("<com.t.C:S:com.t.D[]> = null", Assign (Lsfield sf, Val B.vnull));
+        ("a[2] = i", Assign (Lelem (a, B.vint 2), Val (Local i)));
+        ("x = new com.t.C", Assign (Lvar x, New "com.t.C"));
+        ("a = newarray int[][i]", Assign (Lvar a, NewArr (Arr Int, Local i)));
+        ("y = x.<com.t.C:g:str>", Assign (Lvar y, IField (x, f)));
+        ("y = <com.t.C:S:com.t.D[]>", Assign (Lvar y, SField sf));
+        ("i = a[i]", Assign (Lvar i, AElem (a, Local i)));
+        ("i = lengthof a", Assign (Lvar i, ALen a));
+        ("x = (com.t.C) y", Assign (Lvar x, Cast (Obj "com.t.C", Local y)));
+        ( "y = virtual x.<com.t.C.get:str>(i, \"k\")",
+          Assign
+            ( Lvar y,
+              Invoke
+                (B.virtual_call ~ret:Str x "com.t.C" "get"
+                   [ Local i; B.vstr "k" ]) ) );
+        ( "special x.<com.t.C.<init>:void>()",
+          InvokeStmt (B.special_call x "com.t.C" "<init>" []) );
+        ( "static <com.t.U.log:void>(1, false, null)",
+          InvokeStmt
+            (B.static_call "com.t.U" "log" [ B.vint 1; B.vbool false; B.vnull ])
+        );
+        ("if i goto L3", If (Local i, "L3"));
+        ("goto L3", Goto "L3");
+        ("label L3", Lab "L3");
+        ("return", Return None);
+        ("return y", Return (Some (Local y)));
+        ("nop", Nop);
+        ("i = i + 1", binop Add);
+        ("i = i - 1", binop Sub);
+        ("i = i * 1", binop Mul);
+        ("i = i / 1", binop Div);
+        ("i = i == 1", binop Eq);
+        ("i = i != 1", binop Ne);
+        ("i = i < 1", binop Lt);
+        ("i = i <= 1", binop Le);
+        ("i = i > 1", binop Gt);
+        ("i = i >= 1", binop Ge);
+        ("i = i && 1", binop And);
+        ("i = i || 1", binop Or);
+      ]
+
+let test_golden_ty () =
+  check Alcotest.string "nested array type" "java.lang.String[][]"
+    (Pp.ty_to_string (Ir.Arr (Ir.Arr (Ir.Obj "java.lang.String"))))
 
 let test_parser_rejects_garbage () =
   check Alcotest.bool "garbage rejected" true
@@ -328,6 +517,14 @@ let () =
           tc "round trip" test_roundtrip;
           tc "all constructs" test_roundtrip_constructs;
           tc "rejects garbage" test_parser_rejects_garbage;
+        ] );
+      ( "printer golden",
+        [
+          tc "all constructs" test_golden_constructs;
+          tc "hostile string constants" test_golden_hostile_strings;
+          tc "declarations" test_golden_declarations;
+          tc "every statement form" test_golden_stmts;
+          tc "nested array type" test_golden_ty;
         ] );
       ( "prog",
         [

@@ -7,6 +7,8 @@ module Clock = Extr_telemetry.Clock
 module Metrics = Extr_telemetry.Metrics
 module Export = Extr_telemetry.Export
 module Profile = Extr_telemetry.Profile
+module Span = Extr_telemetry.Span
+module Barrier = Extr_resilience.Resilience.Barrier
 module Journal = Extr_resilience.Journal
 module Corpus = Extr_corpus.Corpus
 module Runner = Extr_eval.Runner
@@ -416,6 +418,87 @@ let test_profile_jobs_deterministic () =
   check Alcotest.(list string) "waste rows identical across jobs settings" w1
     w4
 
+(* ------------------------------------------------------------------ *)
+(* Farm-layer spans                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Materialisation and the cache key are spanned inside the runner's
+   codegen phase: once per app that actually runs, none for apps the
+   journal restores, and on the worker lanes under --jobs 2. *)
+let farm_spans = [ "corpus.codegen"; "store.key" ]
+
+let span_apps name spans =
+  List.filter_map
+    (fun (sp : Span.span) ->
+      if sp.Span.sp_name = name then List.assoc_opt "app" sp.Span.sp_args
+      else None)
+    spans
+  |> List.sort compare
+
+let check_farm_spans what ~expected spans =
+  List.iter
+    (fun name ->
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "%s: one %s span per app" what name)
+        (List.sort compare expected) (span_apps name spans))
+    farm_spans
+
+let test_farm_layer_spans () =
+  let entries = Corpus.generated ~seed:1 ~count:4 in
+  let journal = tmp_path "spans.jsonl" and cache = tmp_path "spans-cache" in
+  let o =
+    {
+      Runner.default_options with
+      Runner.ro_journal = Some journal;
+      ro_cache_dir = Some cache;
+      ro_sleep = fst (Clock.sleep_recording ());
+    }
+  in
+  let run o =
+    match Runner.run o entries with Ok r -> r | Error e -> Alcotest.fail e
+  in
+  Span.reset Span.default;
+  Span.set_enabled Span.default true;
+  Fun.protect ~finally:(fun () ->
+      Barrier.clear_kill_point ();
+      Span.set_enabled Span.default false;
+      Span.reset Span.default;
+      if Sys.file_exists journal then Sys.remove journal;
+      if Sys.file_exists cache then begin
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat cache f))
+          (Sys.readdir cache);
+        Sys.rmdir cache
+      end)
+  @@ fun () ->
+  (* Killed inside the third app: the resumed run restores two. *)
+  Barrier.set_kill_point ~phase:"codegen" ~occurrence:3
+    (fun () -> raise (Barrier.Killed 99));
+  (match run o with
+  | exception Barrier.Killed 99 -> ()
+  | _ -> Alcotest.fail "kill-point did not fire");
+  Barrier.clear_kill_point ();
+  Span.reset Span.default;
+  let r = run { o with Runner.ro_resume = true } in
+  let ran =
+    List.filter_map
+      (fun (a : Runner.app_result) ->
+        if a.Runner.ar_resumed then None else Some a.Runner.ar_app)
+      r.Runner.rn_results
+  in
+  check Alcotest.int "two apps restored" 2
+    (List.length r.Runner.rn_results - List.length ran);
+  check_farm_spans "resumed --jobs 1" ~expected:ran (Span.spans Span.default);
+  Span.reset Span.default;
+  let r =
+    run { o with Runner.ro_journal = None; ro_cache_dir = None; ro_jobs = 2 }
+  in
+  let all = List.map (fun (a : Runner.app_result) -> a.Runner.ar_app) r.Runner.rn_results in
+  check_farm_spans "--jobs 2 worker lanes" ~expected:all
+    (List.concat_map snd r.Runner.rn_worker_spans);
+  check_farm_spans "--jobs 2 coordinator" ~expected:[] (Span.spans Span.default)
+
 let () =
   Alcotest.run "observability"
     [
@@ -445,4 +528,7 @@ let () =
           tc "jobs 1 and jobs 4 aggregates agree on every count"
             test_profile_jobs_deterministic;
         ] );
+      ( "spans",
+        [ tc "codegen and cache key once per app that runs" test_farm_layer_spans ]
+      );
     ]
