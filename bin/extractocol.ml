@@ -914,8 +914,8 @@ let stats_cmd =
       "The $(b,--journal) file of the run to reconstruct.  Repeatable:\n\
        several journals (a $(b,--shard) set) pool into one fleet-wide\n\
        view — shard suffixes are stripped from the configuration\n\
-       fingerprints (which must share a base) and events merge in stamp\n\
-       order."
+       fingerprints (which must share a base) and each app's row comes\n\
+       from the same winner rule $(b,merge) and $(b,--resume) apply."
     in
     Arg.(
       non_empty & opt_all string [] & info [ "journal" ] ~docv:"FILE" ~doc)
@@ -1068,8 +1068,10 @@ let merge_cmd =
          $(b,--report-out) envelope is byte-identical to $(b,--all --jobs \
          1)'s when every shard is present and healthy.  The merge is \
          idempotent — overlapping shards, duplicated work and re-merging \
-         its own outputs resolve newest-finished-wins by journal stamp — \
-         and corruption never aborts it: unreadable journals and \
+         its own outputs resolve newest-finished-wins by journal stamp, \
+         and an app whose last record in a journal is not \
+         $(i,finished) counts as unfinished there — and corruption \
+         never aborts it: unreadable journals and \
          truncated cache entries are quarantined into the envelope's \
          $(i,merge_degradations[]) (exit 3), while absent shards and \
          unaccounted apps are listed in $(i,missing_shards[]) / \

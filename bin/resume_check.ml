@@ -5,7 +5,8 @@
    1. A corpus run is killed mid-flight by an injected kill-point
       (--crash-at, exit 99), leaving a partial journal and cache.
    2. --resume finishes it; its report envelope must be BYTE-identical
-      to the one an uninterrupted run writes.
+      to the one an uninterrupted run writes, and to what `merge` makes
+      of the same journal and cache (resume = merge one journal).
    3. A warm-cache re-run must restore every app from the cache
       (cache.hits == app count, no misses, every envelope entry
       "cached": true) without running any pipeline phase.
@@ -78,6 +79,13 @@ let check exe =
   if not (C.contains ~needle:"[resumed]" resumed_out) then
     C.fail ck "resumed run restored nothing from the journal";
   let _ =
+    run_cli ~expect:0 "merged"
+      [
+        "merge"; "--journal"; p "journal.jsonl"; "--cache-dir"; p "cache";
+        "--report-out"; p "merged.json";
+      ]
+  in
+  let _ =
     run_cli ~expect:0 "cold"
       [
         "--all"; "--jobs"; "1"; "--journal"; p "cold-journal.jsonl";
@@ -85,6 +93,11 @@ let check exe =
       ]
   in
   let resumed = C.read_file (p "resumed.json") in
+  if not (String.equal resumed (C.read_file (p "merged.json"))) then
+    C.fail ck
+      "merging the resumed journal is not byte-identical to the resumed \
+       report (%s vs %s)"
+      (p "merged.json") (p "resumed.json");
   let cold = C.read_file (p "cold.json") in
   if not (String.equal resumed cold) then
     C.fail ck

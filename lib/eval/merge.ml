@@ -11,13 +11,12 @@
    Robustness is the design driver, not a bolt-on:
 
    - Idempotent: per-app conflicts (overlapping shards, duplicated
-     work, re-merging a merged journal) resolve newest-finished-wins by
-     journal stamp, ties broken by input order — a deterministic,
-     associative-in-practice rule, so merge(merge(x)) = merge(x).
-   - Corruption never aborts: an unreadable journal, a torn tail (the
-     journal parser already drops it) or a truncated/corrupt cache
-     entry becomes a degradation record in the envelope; the merge
-     completes with everything else.
+     work, re-merging a merged journal) resolve under Runner.replay's
+     winner rule — newest finished record by journal stamp, ties to
+     the later input — so merge(merge(x)) = merge(x).
+   - Corruption never aborts: an unreadable journal, a dropped record
+     or a missing/corrupt/non-report cache entry becomes a degradation
+     record in the envelope; the merge completes with everything else.
    - Missing work is explicit: shards declared by the journals' (or
      [expect_shards]') K/N identities but absent, and corpus apps no
      surviving journal accounts for, are listed in the envelope and
@@ -28,8 +27,6 @@
      the atomic [Export.write_file] discipline. *)
 
 module Journal = Extr_resilience.Journal
-module Resilience = Extr_resilience.Resilience
-module Barrier = Resilience.Barrier
 module Json = Extr_httpmodel.Json
 module Corpus = Extr_corpus.Corpus
 module Metrics = Extr_telemetry.Metrics
@@ -45,10 +42,7 @@ type degradation = { md_app : string; md_reason : string; md_detail : string }
 type t = {
   mg_config : string;
   mg_run : Runner.run;
-  mg_finished : (float option * Journal.event) list;
-      (* winning Finished record per app, stamps preserved, corpus order *)
-  mg_crashed : (string * (float option * Journal.event)) list;
-      (* winning Crashed record of each quarantined app *)
+  mg_finals : Runner.final list;  (* final record per merged app, corpus order *)
   mg_missing_shards : int list;
   mg_missing_apps : string list;
   mg_degradations : degradation list;
@@ -56,66 +50,10 @@ type t = {
   mg_expected : int;
 }
 
-(* The journal fingerprint of shard K/N is the base configuration
-   fingerprint plus ";shard=K/N" (Runner.journal_fingerprint); strip it
-   to recover the identity cache keys and the merged envelope use.  The
-   suffix is only recognized in the exact trailing shape the runner
-   writes, so a base fingerprint never loses legitimate content. *)
-let strip_shard config =
-  let marker = ";shard=" in
-  let mlen = String.length marker in
-  let clen = String.length config in
-  let parse_kn s =
-    match String.index_opt s '/' with
-    | None -> None
-    | Some j -> (
-        match
-          ( int_of_string_opt (String.sub s 0 j),
-            int_of_string_opt (String.sub s (j + 1) (String.length s - j - 1))
-          )
-        with
-        | Some k, Some n when k >= 1 && k <= n -> Some (k, n)
-        | _ -> None)
-  in
-  let rec find i =
-    if i < 0 then None
-    else if String.sub config i mlen = marker then Some i
-    else find (i - 1)
-  in
-  match find (clen - mlen) with
-  | None -> (config, None)
-  | Some i -> (
-      match parse_kn (String.sub config (i + mlen) (clen - i - mlen)) with
-      | Some kn -> (String.sub config 0 i, Some kn)
-      | None -> (config, None))
-
-(* Newest-finished-wins: later stamp beats earlier, a missing stamp
-   loses to any stamp, and exact ties go to the later input — the rule
-   is total and deterministic, which is what makes re-merging (every
-   stamp equal to itself, same input order) a fixed point. *)
-let wins ~cand:(s_new, i_new) ~incumbent:(s_old, i_old) =
-  let v = function Some s -> s | None -> neg_infinity in
-  if v s_new > v s_old then true
-  else if v s_new < v s_old then false
-  else (i_new : int) >= i_old
-
-type cache_read = Cache_absent | Cache_corrupt | Cache_data of string
-
-let read_cache_entry dir key =
-  let path = Filename.concat dir (key ^ ".json") in
-  if Sys.file_exists path then
-    try
-      let raw = In_channel.with_open_text path In_channel.input_all in
-      (* Verify the integrity seal: a corrupt entry is a miss, exactly
-         as [Store.find] treats it, so merge never splices a damaged
-         report into the envelope. *)
-      match Store.decode raw with
-      | Ok payload -> Cache_data payload
-      | Error reason ->
-          Log.warn (fun m -> m "%s: corrupt cache entry (%s)" path reason);
-          Cache_corrupt
-    with Sys_error _ -> Cache_absent
-  else Cache_absent
+let finished_key (fn : Runner.final) =
+  match fn.Runner.fn_finished with
+  | Some (_, Journal.Finished { ev_key; _ }) -> ev_key
+  | _ -> ""
 
 let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
     ~(journals : string list) ?(cache_dirs = []) ?expect_shards () :
@@ -126,70 +64,57 @@ let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
     Log.warn (fun m -> m "%s: %s (%s)" md_reason md_detail md_app);
     degradations := { md_app; md_reason; md_detail } :: !degradations
   in
-  (* Fold every journal's records into per-app winners.  An unreadable
-     or headerless-but-nonempty journal is quarantined; a zero-byte one
-     (a shard that died between open and header — the stale-lock shape)
-     is an empty shard.  A journal whose base fingerprint differs is a
-     usage error: its results were computed under another configuration
-     and must not be mixed in silently. *)
-  let best : (string, (float option * int) * Journal.event) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let crashes : (string, (float option * int) * (string * string)) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  (* Read every journal.  An unreadable or headerless-but-nonempty
+     journal is quarantined; a zero-byte one (a shard that died between
+     open and header — the stale-lock shape) is an empty shard.  A
+     journal whose base fingerprint differs is a usage error: its
+     results were computed under another configuration and must not be
+     mixed in silently. *)
   let shards_seen = ref [] in
   let declared_n = ref None in
   let config_error = ref None in
-  List.iteri
-    (fun idx path ->
-      match Journal.read_lenient ~path with
-      | Error msg -> degrade "" "journal unreadable" (path ^ ": " ^ msg)
-      | Ok (None, _, _) ->
-          Log.info (fun m -> m "%s: empty journal, treating as empty shard" path)
-      | Ok (Some cfg, events, anomalies) ->
-          (* Corrupt records are dropped, not trusted: the affected app
-             either has a healthy record elsewhere in the shard set or
-             surfaces as missing — both are honest shapes. *)
-          List.iter
-            (fun a ->
-              degrade "" "journal record dropped"
-                (Fmt.str "%s: %a" path Journal.pp_anomaly a))
-            anomalies;
-          let cfg_base, shard = strip_shard cfg in
-          if cfg_base <> base then begin
-            if !config_error = None then
-              config_error :=
-                Some
-                  (Printf.sprintf
-                     "%s: journal was written under a different configuration \
-                      (%s, merge expects %s); results would not match"
-                     path cfg_base base)
-          end
-          else begin
-            Option.iter
-              (fun (k, n) ->
-                shards_seen := k :: !shards_seen;
-                declared_n :=
-                  Some (max n (Option.value ~default:0 !declared_n)))
-              shard;
+  let sets =
+    List.filter_map
+      (fun path ->
+        match Journal.read_lenient ~path with
+        | Error msg ->
+            degrade "" "journal unreadable" (path ^ ": " ^ msg);
+            None
+        | Ok (None, _, _) ->
+            Log.info (fun m -> m "%s: empty journal, treating as empty shard" path);
+            None
+        | Ok (Some cfg, events, anomalies) ->
+            (* Corrupt records are dropped, not trusted: the affected app
+               either has a healthy record elsewhere in the shard set or
+               surfaces as missing — both are honest shapes. *)
             List.iter
-              (fun (stamp, ev) ->
-                let consider tbl app v =
-                  match Hashtbl.find_opt tbl app with
-                  | Some (incumbent, _)
-                    when not (wins ~cand:(stamp, idx) ~incumbent) ->
-                      ()
-                  | _ -> Hashtbl.replace tbl app ((stamp, idx), v)
-                in
-                match ev with
-                | Journal.Finished { ev_app; _ } -> consider best ev_app ev
-                | Journal.Crashed { ev_app; ev_phase; ev_exn } ->
-                    consider crashes ev_app (ev_phase, ev_exn)
-                | Journal.Started _ | Journal.Retried _ -> ())
-              events
-          end)
-    journals;
+              (fun a ->
+                degrade "" "journal record dropped"
+                  (Fmt.str "%s: %a" path Journal.pp_anomaly a))
+              anomalies;
+            let cfg_base, shard = Runner.strip_shard cfg in
+            if cfg_base <> base then begin
+              if !config_error = None then
+                config_error :=
+                  Some
+                    (Printf.sprintf
+                       "%s: journal was written under a different \
+                        configuration (%s, merge expects %s); results would \
+                        not match"
+                       path cfg_base base);
+              None
+            end
+            else begin
+              Option.iter
+                (fun (k, n) ->
+                  shards_seen := k :: !shards_seen;
+                  declared_n :=
+                    Some (max n (Option.value ~default:0 !declared_n)))
+                shard;
+              Some events
+            end)
+      journals
+  in
   match !config_error with
   | Some msg -> Error msg
   | None ->
@@ -197,122 +122,46 @@ let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
          order — the same list every shard computed before filtering, so
          the merged envelope's app order is the unsharded run's. *)
       let identified = Runner.identify entries in
+      let find k =
+        Seq.filter_map (fun dir -> Store.lookup ~dir k) (List.to_seq cache_dirs)
+      in
+      let results = ref [] in
+      let finals = ref [] in
       let missing_apps = ref [] in
       let cache = ref [] in
       let cache_keys = Hashtbl.create 64 in
-      let finished = ref [] in
-      let crashed = ref [] in
-      let lookup_report app key =
-        if key = "" then None
-        else
-          let corrupt = ref [] in
-          let rec probe = function
-            | [] ->
-                List.iter
-                  (fun dir ->
-                    degrade app "corrupt cache entry quarantined"
-                      (Filename.concat dir (key ^ ".json")))
-                  (List.rev !corrupt);
-                if !corrupt = [] then
-                  degrade app "cache entry missing" (key ^ ".json");
-                None
-            | dir :: rest -> (
-                match read_cache_entry dir key with
-                | Cache_absent -> probe rest
-                | Cache_corrupt ->
-                    corrupt := dir :: !corrupt;
-                    probe rest
-                | Cache_data data -> (
-                    (* Validate before trusting: a torn entry (killed
-                       mid-write outside the atomic discipline, disk
-                       trouble) must quarantine, not propagate. *)
-                    match Runner.inspect_report_json data with
-                    | Some _ -> Some data
-                    | None ->
-                        corrupt := dir :: !corrupt;
-                        probe rest))
-          in
-          probe cache_dirs
+      let keep (r : Runner.app_result) fn =
+        let key = finished_key fn in
+        (match r.Runner.ar_report_json with
+        | Some data when not (Hashtbl.mem cache_keys key) ->
+            Hashtbl.replace cache_keys key ();
+            cache := (key, data) :: !cache
+        | _ -> ());
+        results := r :: !results;
+        finals := fn :: !finals
       in
-      let results =
-        List.filter_map
-          (fun ((id, _) : string * Corpus.entry) ->
-            match Hashtbl.find_opt best id with
-            | None ->
-                missing_apps := id :: !missing_apps;
-                None
-            | Some
-                ( (stamp, _),
-                  (Journal.Finished
-                     { ev_key; ev_status; ev_cached; ev_attempts; ev_txs; _ }
-                   as fev) )
-              ->
-                let status =
-                  match Runner.status_of_name ev_status with
-                  | Some s -> s
-                  | None -> Runner.Quarantined
-                in
-                finished := (stamp, fev) :: !finished;
-                let crash =
-                  match status with
-                  | Runner.Quarantined ->
-                      let phase, exn_s =
-                        match Hashtbl.find_opt crashes id with
-                        | Some ((cstamp, _), pe) ->
-                            crashed :=
-                              ( id,
-                                ( cstamp,
-                                  Journal.Crashed
-                                    {
-                                      ev_app = id;
-                                      ev_phase = fst pe;
-                                      ev_exn = snd pe;
-                                    } ) )
-                              :: !crashed;
-                            pe
-                        | None -> ("?", "crash record missing from journal")
-                      in
-                      Some
-                        {
-                          Barrier.cr_app = id;
-                          cr_exn = exn_s;
-                          cr_phase = phase;
-                          cr_backtrace = "";
-                        }
-                  | _ -> None
-                in
-                let report, degs =
-                  match status with
-                  | Runner.Quarantined -> (None, [])
-                  | _ -> (
-                      match lookup_report id ev_key with
-                      | None -> (None, [])
-                      | Some data ->
-                          if not (Hashtbl.mem cache_keys ev_key) then begin
-                            Hashtbl.replace cache_keys ev_key ();
-                            cache := (ev_key, data) :: !cache
-                          end;
-                          ( Some data,
-                            match Runner.inspect_report_json data with
-                            | Some (_, _, ds) -> ds
-                            | None -> [] ))
-                in
-                Some
-                  {
-                    Runner.ar_app = id;
-                    ar_status = status;
-                    ar_cached = ev_cached;
-                    ar_resumed = false;
-                    ar_attempts = ev_attempts;
-                    ar_txs = ev_txs;
-                    ar_degradations = degs;
-                    ar_elapsed_s = 0.0;
-                    ar_crash = crash;
-                    ar_report_json = report;
-                  }
-            | Some (_, _) -> None)
-          identified
-      in
+      (* Replay every journal, then report the holes: an app no journal
+         finished is missing; a finished app whose report cannot be read
+         keeps its journal status, loses its report, and degrades the
+         merge. *)
+      List.iter
+        (fun { Runner.rp_final = fn; rp_result } ->
+          let id = fn.Runner.fn_app in
+          match rp_result with
+          | Ok r -> keep r fn
+          | Error (Runner.Report_missing r) ->
+              degrade id "cache entry missing" (finished_key fn);
+              keep r fn
+          | Error (Runner.Report_corrupt (r, copies)) ->
+              List.iter (degrade id "corrupt cache entry quarantined") copies;
+              keep r fn
+          | Error (Runner.Unknown_status status) ->
+              Log.warn (fun m -> m "%s: unrecognized journal status %S" id status);
+              missing_apps := id :: !missing_apps
+          | Error (Runner.No_record | Runner.In_flight) ->
+              missing_apps := id :: !missing_apps)
+        (Runner.replay ~find ~expect:(List.map fst identified) sets);
+      let results = List.rev !results in
       (* Shard coverage: [expect_shards] is authoritative when given;
          otherwise whatever N the surviving journals declared.  Journals
          with no shard suffix (an unsharded run, a merged journal)
@@ -344,8 +193,7 @@ let merge ~(options : Runner.options) ~(entries : Corpus.entry list)
         {
           mg_config = base;
           mg_run = run;
-          mg_finished = List.rev !finished;
-          mg_crashed = List.rev !crashed;
+          mg_finals = List.rev !finals;
           mg_missing_shards = missing_shards;
           mg_missing_apps = List.rev !missing_apps;
           mg_degradations = List.rev !degradations;
@@ -410,26 +258,24 @@ let report_json t =
    envelope (the idempotency the shard_check rule enforces). *)
 let journal_contents t =
   let buf = Buffer.create 4096 in
-  let add ?stamp ev =
+  let add (stamp, ev) =
     Buffer.add_string buf (Journal.line_of_event ?stamp ev);
     Buffer.add_char buf '\n'
   in
   Buffer.add_string buf (Journal.header_line ~config:t.mg_config ());
   Buffer.add_char buf '\n';
   List.iter
-    (fun (stamp, ev) ->
-      (match ev with
-      | Journal.Finished { ev_app; ev_status; _ }
-        when ev_status = Runner.status_name Runner.Quarantined -> (
+    (fun (fn : Runner.final) ->
+      (match fn.Runner.fn_finished with
+      | Some (_, Journal.Finished { ev_status; _ })
+        when ev_status = Runner.status_name Runner.Quarantined ->
           (* Replay the crash before its Finished record, as the live
              runner journals them, so --resume and stats recover the
              crash phase/exn from the merged journal too. *)
-          match List.assoc_opt ev_app t.mg_crashed with
-          | Some (cstamp, cev) -> add ?stamp:cstamp cev
-          | None -> ())
+          Option.iter add fn.Runner.fn_crash
       | _ -> ());
-      add ?stamp ev)
-    t.mg_finished;
+      Option.iter add fn.Runner.fn_finished)
+    t.mg_finals;
   Buffer.contents buf
 
 (* Union of the shards' metrics snapshots: parse each exported JSON back

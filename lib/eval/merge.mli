@@ -39,10 +39,8 @@ type t = {
       (** the base configuration fingerprint (shard suffixes stripped)
           the merged envelope, journal and cache keys live under *)
   mg_run : Runner.run;  (** merged results, corpus order *)
-  mg_finished : (float option * Journal.event) list;
-      (** the winning [Finished] record per app, stamp preserved *)
-  mg_crashed : (string * (float option * Journal.event)) list;
-      (** the winning [Crashed] record of each quarantined app *)
+  mg_finals : Runner.final list;
+      (** each merged app's final record ({!Runner.replay}), corpus order *)
   mg_missing_shards : int list;  (** 1-based, ascending *)
   mg_missing_apps : string list;
       (** corpus identities no surviving journal accounts for *)
@@ -51,11 +49,6 @@ type t = {
       (** unioned [(key, report)] entries, first valid copy per key *)
   mg_expected : int;  (** total corpus identities expected *)
 }
-
-val strip_shard : string -> string * (int * int) option
-(** Split a journal fingerprint into its base and the trailing
-    [";shard=K/N"] identity {!Runner.journal_fingerprint} appends, if
-    one is present (in exactly that shape, [1 <= K <= N]). *)
 
 val merge :
   options:Runner.options ->

@@ -95,14 +95,45 @@ let config_fingerprint (o : options) =
 (* The journal (and shard envelope) identity adds which slice of the
    corpus this run covers: a shard must only resume its own journal, and
    merge reads the suffix back to know which shards it has seen.  The
-   suffix is syntactic — [Merge.strip_shard] removes it to recover the
-   base fingerprint that cache keys and the merged envelope use. *)
+   suffix is syntactic — [strip_shard] removes it to recover the base
+   fingerprint that cache keys and the merged envelope use. *)
 let journal_fingerprint (o : options) =
   config_fingerprint o
   ^
   match o.ro_shard with
   | None -> ""
   | Some (k, n) -> Printf.sprintf ";shard=%d/%d" k n
+
+(* The inverse split.  The suffix is only recognized in the exact
+   trailing shape [journal_fingerprint] writes, so a base fingerprint
+   never loses legitimate content. *)
+let strip_shard config =
+  let marker = ";shard=" in
+  let mlen = String.length marker in
+  let clen = String.length config in
+  let parse_kn s =
+    match String.index_opt s '/' with
+    | None -> None
+    | Some j -> (
+        match
+          ( int_of_string_opt (String.sub s 0 j),
+            int_of_string_opt (String.sub s (j + 1) (String.length s - j - 1))
+          )
+        with
+        | Some k, Some n when k >= 1 && k <= n -> Some (k, n)
+        | _ -> None)
+  in
+  let rec find i =
+    if i < 0 then None
+    else if String.sub config i mlen = marker then Some i
+    else find (i - 1)
+  in
+  match find (clen - mlen) with
+  | None -> (config, None)
+  | Some i -> (
+      match parse_kn (String.sub config (i + mlen) (clen - i - mlen)) with
+      | Some kn -> (String.sub config 0 i, Some kn)
+      | None -> (config, None))
 
 (* Deterministic shard assignment, 0-based.  Entries are partitioned by
    a digest of the app *name* — a proxy for the Store.key cache key that
@@ -174,6 +205,22 @@ let exit_code r =
   else if List.exists (fun a -> a.ar_status = Degraded) r.rn_results then 3
   else 0
 
+(* The one constructor of a quarantined result, whether the app crashed
+   in this process, its pool worker died, or a journal replayed it. *)
+let quarantined_result ?(resumed = false) id ~attempts (crash : Barrier.crash) =
+  {
+    ar_app = id;
+    ar_status = Quarantined;
+    ar_cached = false;
+    ar_resumed = resumed;
+    ar_attempts = attempts;
+    ar_txs = 0;
+    ar_degradations = [];
+    ar_elapsed_s = 0.0;
+    ar_crash = Some crash;
+    ar_report_json = None;
+  }
+
 (* One degradations[] element of a serialized report, parsed back into
    the ledger's record shape (Report.json_of_degradation is the
    inverse).  Unrecognized elements are dropped, not fatal. *)
@@ -203,6 +250,148 @@ let inspect_report_json data =
       | _ -> None)
   | Some _ | None -> None
 
+(* ------------------------------------------------------------------ *)
+(* Artifact replay                                                    *)
+(* ------------------------------------------------------------------ *)
+
+type final = {
+  fn_app : string;
+  fn_finished : (float option * Journal.event) option;
+  fn_crash : (float option * Journal.event) option;
+  fn_started : float option;
+}
+
+type hole =
+  | No_record
+  | In_flight
+  | Unknown_status of string
+  | Report_missing of app_result
+  | Report_corrupt of app_result * string list
+
+type replayed = { rp_final : final; rp_result : (app_result, hole) result }
+
+(* Newest-finished-wins across journals: a later stamp beats an earlier
+   one, a missing stamp loses to any stamp, and exact ties go to the
+   later input.  The rule is total and deterministic, which is what
+   makes re-merging a merged journal a fixed point. *)
+let wins (cand, i) (inc, j) =
+  let stamp fn = Option.value ~default:neg_infinity (Option.bind fn.fn_finished fst) in
+  stamp cand > stamp inc || (stamp cand = stamp inc && (i : int) >= j)
+
+(* One journal's final record per app, in order of first appearance.
+   The LAST lifecycle record decides: any record after a Finished (a
+   re-run killed mid-flight) voids it.  The crash is the journal's last
+   Crashed record for the app, so it always belongs to the same run as
+   the Finished it explains. *)
+let fold_journal events =
+  let order = ref [] in
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun ((stamp, ev) as record) ->
+      let app = Journal.event_app ev in
+      let fn =
+        match Hashtbl.find_opt tbl app with
+        | Some fn -> fn
+        | None ->
+            order := app :: !order;
+            { fn_app = app; fn_finished = None; fn_crash = None; fn_started = None }
+      in
+      let fn =
+        match ev with
+        | Journal.Finished _ -> { fn with fn_finished = Some record }
+        | Journal.Started _ when fn.fn_started = None ->
+            { fn with fn_finished = None; fn_started = stamp }
+        | Journal.Crashed _ -> { fn with fn_finished = None; fn_crash = Some record }
+        | _ -> { fn with fn_finished = None }
+      in
+      Hashtbl.replace tbl app fn)
+    events;
+  List.rev_map (Hashtbl.find tbl) !order
+
+(* A final record plus the cached report it points at.  [find] yields
+   every stored copy of an entry as (where, seal verdict); the first
+   copy that also passes [inspect_report_json] wins — the same two
+   checks a warm-run cache hit applies. *)
+let resolve ~find fn =
+  match fn.fn_finished with
+  | Some (_, Journal.Finished { ev_key; ev_status; ev_cached; ev_attempts; ev_txs; _ })
+    -> (
+      match status_of_name ev_status with
+      | None -> Result.Error (Unknown_status ev_status)
+      | Some Quarantined ->
+          let cr_phase, cr_exn =
+            match fn.fn_crash with
+            | Some (_, Journal.Crashed { ev_phase; ev_exn; _ }) -> (ev_phase, ev_exn)
+            | _ -> ("?", "crash record missing from journal")
+          in
+          Result.Ok
+            (quarantined_result ~resumed:true fn.fn_app ~attempts:ev_attempts
+               { Barrier.cr_app = fn.fn_app; cr_exn; cr_phase; cr_backtrace = "" })
+      | Some status ->
+          let r =
+            {
+              ar_app = fn.fn_app;
+              ar_status = status;
+              (* The journal's cached flag, not "true": a replayed result
+                 must serialize exactly like the run that journaled it. *)
+              ar_cached = ev_cached;
+              ar_resumed = true;
+              ar_attempts = ev_attempts;
+              ar_txs = ev_txs;
+              ar_degradations = [];
+              ar_elapsed_s = 0.0;
+              ar_crash = None;
+              ar_report_json = None;
+            }
+          in
+          let rec first corrupt copies =
+            match copies () with
+            | Seq.Nil ->
+                Result.Error
+                  (if corrupt = [] then Report_missing r
+                   else Report_corrupt (r, List.rev corrupt))
+            | Seq.Cons ((where, Result.Ok data), rest) -> (
+                match inspect_report_json data with
+                | Some (_, _, degs) ->
+                    Result.Ok { r with ar_degradations = degs; ar_report_json = Some data }
+                | None -> first (where :: corrupt) rest)
+            | Seq.Cons ((where, Result.Error _), rest) -> first (where :: corrupt) rest
+          in
+          first []
+            (match Store.key_of_string ev_key with
+            | Some k -> find k
+            | None -> Seq.empty))
+  | _ -> Result.Error In_flight
+
+let replay ?(find = fun _ -> Seq.empty) ?expect journals =
+  let tbl = Hashtbl.create 64 in
+  let order = ref [] in
+  List.iteri
+    (fun i events ->
+      List.iter
+        (fun fn ->
+          match Hashtbl.find_opt tbl fn.fn_app with
+          | None ->
+              order := fn.fn_app :: !order;
+              Hashtbl.replace tbl fn.fn_app (fn, i)
+          | Some (inc, j) ->
+              if
+                Option.is_some fn.fn_finished
+                && (Option.is_none inc.fn_finished || wins (fn, i) (inc, j))
+              then Hashtbl.replace tbl fn.fn_app (fn, i))
+        (fold_journal events))
+    journals;
+  let replayed id =
+    match Hashtbl.find_opt tbl id with
+    | Some (fn, _) -> { rp_final = fn; rp_result = resolve ~find fn }
+    | None ->
+        {
+          rp_final = { fn_app = id; fn_finished = None; fn_crash = None; fn_started = None };
+          rp_result = Result.Error No_record;
+        }
+  in
+  List.map replayed (match expect with Some ids -> ids | None -> List.rev !order)
+
 let forced_crash_message = "forced crash (--force-crash test hook)"
 
 (* Analyze one corpus entry end to end: materialize the app (behind the
@@ -229,18 +418,7 @@ let run_app ~jot ~do_store ~cache (o : options) ~config id (e : Corpus.entry) :
            ev_attempts = attempts;
            ev_txs = 0;
          });
-    {
-      ar_app = id;
-      ar_status = Quarantined;
-      ar_cached = false;
-      ar_resumed = false;
-      ar_attempts = attempts;
-      ar_txs = 0;
-      ar_degradations = [];
-      ar_elapsed_s = 0.0;
-      ar_crash = Some crash;
-      ar_report_json = None;
-    }
+    quarantined_result id ~attempts crash
   in
   match
     Barrier.protect ~app:id (fun () ->
@@ -534,25 +712,9 @@ let run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state
                  ev_attempts = 1;
                  ev_txs = 0;
                });
-          ( {
-              ar_app = id;
-              ar_status = Quarantined;
-              ar_cached = false;
-              ar_resumed = false;
-              ar_attempts = 1;
-              ar_txs = 0;
-              ar_degradations = [];
-              ar_elapsed_s = 0.0;
-              ar_crash =
-                Some
-                  {
-                    Barrier.cr_app = id;
-                    cr_exn = reason;
-                    cr_phase = phase;
-                    cr_backtrace = "";
-                  };
-              ar_report_json = None;
-            },
+          ( quarantined_result id ~attempts:1
+              { Barrier.cr_app = id; cr_exn = reason; cr_phase = phase;
+                cr_backtrace = "" },
             "",
             [],
             [],
@@ -608,9 +770,7 @@ let run ?(on_result = fun (_ : app_result) -> ())
             with Sys_error msg ->
               Result.Error (Printf.sprintf "cache directory: %s" msg)))
   in
-  (* The journal: fresh for a new run, replayed for --resume.  Resuming
-     yields the map of already-finished apps and the crash each
-     quarantined app last died with (the report envelope needs it). *)
+  (* The journal: fresh for a new run, replayed for --resume. *)
   let journal =
     match (o.ro_resume, o.ro_journal) with
     | true, None -> Result.Error "--resume requires --journal PATH"
@@ -629,22 +789,14 @@ let run ?(on_result = fun (_ : app_result) -> ())
               anomalies;
             if anomalies <> [] then
               Metrics.incr ~by:(List.length anomalies) m_journal_dropped;
-            let crashes = Hashtbl.create 8 in
-            List.iter
-              (function
-                | Journal.Crashed { ev_app; ev_phase; ev_exn } ->
-                    Hashtbl.replace crashes ev_app (ev_phase, ev_exn)
-                | _ -> ())
-              events;
-            Result.Ok (Some j, Journal.finished events, crashes))
-    | false, None -> Result.Ok (None, [], Hashtbl.create 0)
+            Result.Ok (Some j, [ List.map (fun ev -> (None, ev)) events ]))
+    | false, None -> Result.Ok (None, [])
     | false, Some path ->
-        Result.Ok
-          (Some (Journal.create ~path ~config:jconfig ()), [], Hashtbl.create 0)
+        Result.Ok (Some (Journal.create ~path ~config:jconfig ()), [])
   in
   match (cache, journal) with
   | Result.Error msg, _ | _, Result.Error msg -> Result.Error msg
-  | Result.Ok cache, Result.Ok (journal, done_map, past_crashes) ->
+  | Result.Ok cache, Result.Ok (journal, past) ->
       (* Journal first (fsync'd), observer second — the progress display
          must never see an event the journal could still lose. *)
       let jot ev =
@@ -655,78 +807,6 @@ let run ?(on_result = fun (_ : app_result) -> ())
         if r.ar_cached then Metrics.incr m_cache_hits;
         if r.ar_resumed then Metrics.incr m_restored;
         on_result r
-      in
-      (* Restore an app the journal marked finished: quarantined apps
-         replay their recorded crash; ok/degraded apps come back from
-         the cache.  A cache miss (evicted entry, no --cache-dir) falls
-         through to a fresh run — resume never produces a hole. *)
-      let restore app (f : Journal.event) =
-        match f with
-        | Journal.Finished { ev_key; ev_status; ev_cached; ev_attempts; ev_txs; _ }
-          -> (
-            match status_of_name ev_status with
-            | Some Quarantined ->
-                let phase, exn_s =
-                  match Hashtbl.find_opt past_crashes app with
-                  | Some pe -> pe
-                  | None -> ("?", "crash record missing from journal")
-                in
-                Some
-                  {
-                    ar_app = app;
-                    ar_status = Quarantined;
-                    ar_cached = false;
-                    ar_resumed = true;
-                    ar_attempts = ev_attempts;
-                    ar_txs = 0;
-                    ar_degradations = [];
-                    ar_elapsed_s = 0.0;
-                    ar_crash =
-                      Some
-                        {
-                          Barrier.cr_app = app;
-                          cr_exn = exn_s;
-                          cr_phase = phase;
-                          cr_backtrace = "";
-                        };
-                    ar_report_json = None;
-                  }
-            | Some status -> (
-                let entry =
-                  match (cache, Store.key_of_string ev_key) with
-                  | Some c, Some k -> Store.find c k
-                  | _ -> None
-                in
-                match entry with
-                | Some data ->
-                    let degradations =
-                      match inspect_report_json data with
-                      | Some (_, _, ds) -> ds
-                      | None -> []
-                    in
-                    Some
-                      {
-                        ar_app = app;
-                        ar_status = status;
-                        (* The journal's cached flag, not "true": a
-                           resumed run must serialize exactly like the
-                           uninterrupted run it replaces. *)
-                        ar_cached = ev_cached;
-                        ar_resumed = true;
-                        ar_attempts = ev_attempts;
-                        ar_txs = ev_txs;
-                        ar_degradations = degradations;
-                        ar_elapsed_s = 0.0;
-                        ar_crash = None;
-                        ar_report_json = Some data;
-                      }
-                | None ->
-                    Log.warn (fun m ->
-                        m "%s finished in the journal but not in the cache; re-running"
-                          app);
-                    None)
-            | None -> None)
-        | _ -> None
       in
       (* Identify on the full corpus, then keep this shard's slice: "#N"
          identities are shard-independent, and namesakes co-locate (the
@@ -742,10 +822,27 @@ let run ?(on_result = fun (_ : app_result) -> ())
                 shard_index ~shards:n e.Corpus.c_app.Spec.a_name = k - 1)
               all
       in
-      let try_restore id =
-        if o.ro_resume then Option.bind (List.assoc_opt id done_map) (restore id)
-        else None
+      (* Resume = replay this run's journal, then run the holes.  Reports
+         are read through Store.find, so its cache.* metrics and the
+         store.read fault site see them like any other probe. *)
+      let restored = Hashtbl.create 64 in
+      let find k =
+        match Option.bind cache (fun c -> Store.find c k) with
+        | Some data -> Seq.return ("", Result.Ok data)
+        | None -> Seq.empty
       in
+      List.iter
+        (fun { rp_final; rp_result } ->
+          match rp_result with
+          | Result.Ok r -> Hashtbl.replace restored rp_final.fn_app r
+          | Result.Error (Report_missing _ | Report_corrupt _) ->
+              Log.warn (fun m ->
+                  m "%s finished in the journal but its cached report is \
+                     missing or unusable; re-running"
+                    rp_final.fn_app)
+          | Result.Error (No_record | In_flight | Unknown_status _) -> ())
+        (replay ~find ~expect:(List.map fst identified) past);
+      let try_restore = Hashtbl.find_opt restored in
       let results, interrupted, worker_spans =
         if o.ro_jobs > 1 && List.length identified > 1 then
           run_pooled ~jot ~try_restore ~cache ~config ~on_result ~on_state o

@@ -79,6 +79,11 @@ val journal_fingerprint : options -> string
     [merge] strips the suffix to recover the base fingerprint the
     merged envelope (and every cache key) uses. *)
 
+val strip_shard : string -> string * (int * int) option
+(** Split a journal fingerprint into its base and the trailing
+    [";shard=K/N"] identity {!journal_fingerprint} appends, if one is
+    present (in exactly that shape, [1 <= K <= N]). *)
+
 val shard_index : shards:int -> string -> int
 (** The 0-based shard owning an app name, for an [n]-way partition.  A
     digest of the {e name} is a faithful proxy for the [Store.key] cache
@@ -143,6 +148,57 @@ type run = {
 val exit_code : run -> int
 (** The [--all] contract: 130 if interrupted, 2 if any app was
     quarantined, 3 if any degraded, 0 otherwise. *)
+
+(** {1 Artifact replay}
+
+    The one reader of finished work: [--resume], [merge] and [stats] all
+    fold journals and probe caches through {!replay}, each keeping only
+    its own policy for the holes. *)
+
+type final = {
+  fn_app : string;
+  fn_finished : (float option * Journal.event) option;
+      (** the winning [Finished] record, stamp preserved; [None] when no
+          journal's last lifecycle record for the app is [Finished] *)
+  fn_crash : (float option * Journal.event) option;
+      (** the last [Crashed] record of the journal [fn_finished] came
+          from (for a quarantined app: the crash that ended it) *)
+  fn_started : float option;
+      (** first [Started] stamp in that journal ([stats]' wall time) *)
+}
+
+type hole =
+  | No_record  (** no journal mentions the app *)
+  | In_flight  (** records exist, but no journal finished the app *)
+  | Unknown_status of string  (** the winning record's status is not ours *)
+  | Report_missing of app_result
+      (** ok/degraded, but no cached copy of its report; the payload is
+          the journal's result without a report *)
+  | Report_corrupt of app_result * string list
+      (** every cached copy failed its seal or is not a report; the
+          strings name where each copy lives *)
+
+type replayed = { rp_final : final; rp_result : (app_result, hole) result }
+
+val replay :
+  ?find:(Extr_store.Store.key -> (string * (string, string) result) Seq.t) ->
+  ?expect:string list ->
+  (float option * Journal.event) list list ->
+  replayed list
+(** Fold journals (each a record list in file order) into each app's
+    final record under one winner rule, then resolve it against the
+    cache.
+    - Within a journal the last lifecycle record decides: any record
+      after a [Finished] (a [Started] re-run) voids it.
+    - Across journals the finished record with the newest stamp wins
+      (a missing stamp loses to any), ties going to the later journal.
+    - A quarantined app's crash comes from its winning journal.
+    [find] yields every stored copy of a cache entry as (location, seal
+    verdict), searched in order (default: none); the first copy that
+    {!inspect_report_json} also accepts supplies the report.  Results
+    carry [ar_resumed = true].  With [expect], the output is exactly
+    those apps in that order (absent ones as {!No_record}); without,
+    every app the journals mention, in order of first appearance. *)
 
 val run :
   ?on_result:(app_result -> unit) ->

@@ -44,7 +44,7 @@ type waste = {
 
 type t = {
   rs_config : string;
-  rs_apps : app list;  (* journal order of first appearance *)
+  rs_apps : app list;  (* order of first appearance, journals in input order *)
   rs_finished : int;
   rs_ok : int;
   rs_degraded : int;
@@ -77,122 +77,79 @@ let sorted_counts tbl =
   |> List.sort (fun (ka, a) (kb, b) ->
          match compare (b : int) a with 0 -> compare ka kb | c -> c)
 
-let of_events events =
-  (* Per-app fold in arrival order.  The LAST lifecycle record decides
-     an app's fate — an app started again after finishing (a killed
-     re-run) is back in flight, exactly as --resume would see it. *)
-  let order = ref [] in
-  let seen = Hashtbl.create 32 in
-  let first_started = Hashtbl.create 32 in
-  let last_finished = Hashtbl.create 32 in
-  let final = Hashtbl.create 32 in
+(* Per-app rows are the final records of [Runner.replay] — the one
+   winner rule --resume and merge apply, so an app started again after
+   finishing is in flight here exactly when --resume would re-run it.
+   The retry and crash taxonomies and the run's wall clock count every
+   record of every journal. *)
+let of_journals ~config ~dropped sets =
   let retries = Hashtbl.create 8 in
   let crashes = Hashtbl.create 8 in
-  let first_stamp = ref None in
-  let last_stamp = ref None in
+  let span = ref None in
   List.iter
-    (fun (stamp, ev) ->
-      (match stamp with
-      | Some s ->
-          if !first_stamp = None then first_stamp := Some s;
-          last_stamp := Some s
-      | None -> ());
-      let note app =
-        if not (Hashtbl.mem seen app) then begin
-          Hashtbl.replace seen app ();
-          order := app :: !order
-        end
-      in
-      match ev with
-      | Journal.Started { ev_app; _ } ->
-          note ev_app;
-          Hashtbl.remove final ev_app;
-          Hashtbl.remove last_finished ev_app;
-          Option.iter
-            (fun s ->
-              if not (Hashtbl.mem first_started ev_app) then
-                Hashtbl.replace first_started ev_app s)
-            stamp
-      | Journal.Retried { ev_app; ev_reason; _ } ->
-          note ev_app;
-          bump retries ev_reason
-      | Journal.Crashed { ev_app; ev_phase; _ } ->
-          note ev_app;
-          bump crashes ev_phase
-      | Journal.Finished { ev_app; _ } ->
-          note ev_app;
-          Hashtbl.replace final ev_app ev;
-          Option.iter (fun s -> Hashtbl.replace last_finished ev_app s) stamp)
-    events;
+    (List.iter (fun (stamp, ev) ->
+         Option.iter
+           (fun s ->
+             span :=
+               Some
+                 (match !span with
+                 | None -> (s, s)
+                 | Some (lo, hi) -> (min lo s, max hi s)))
+           stamp;
+         match ev with
+         | Journal.Retried { ev_reason; _ } -> bump retries ev_reason
+         | Journal.Crashed { ev_phase; _ } -> bump crashes ev_phase
+         | Journal.Started _ | Journal.Finished _ -> ()))
+    sets;
   let apps =
-    List.rev_map
-      (fun app ->
-        match Hashtbl.find_opt final app with
+    List.map
+      (fun { Runner.rp_final = fn; _ } ->
+        let in_flight =
+          { st_app = fn.Runner.fn_app; st_status = "in-flight"; st_cached = false;
+            st_attempts = 0; st_txs = 0; st_wall_s = None }
+        in
+        match fn.Runner.fn_finished with
         | Some
-            (Journal.Finished { ev_status; ev_cached; ev_attempts; ev_txs; _ })
+            ( stamp,
+              Journal.Finished { ev_status; ev_cached; ev_attempts; ev_txs; _ } )
           ->
-            let wall =
-              match
-                ( Hashtbl.find_opt first_started app,
-                  Hashtbl.find_opt last_finished app )
-              with
-              | Some t0, Some t1 when t1 >= t0 -> Some (t1 -. t0)
-              | _ -> None
-            in
             {
-              st_app = app;
+              in_flight with
               st_status = ev_status;
               st_cached = ev_cached;
               st_attempts = ev_attempts;
               st_txs = ev_txs;
-              st_wall_s = wall;
+              st_wall_s =
+                (match (fn.Runner.fn_started, stamp) with
+                | Some t0, Some t1 when t1 >= t0 -> Some (t1 -. t0)
+                | _ -> None);
             }
-        | _ ->
-            {
-              st_app = app;
-              st_status = "in-flight";
-              st_cached = false;
-              st_attempts = 0;
-              st_txs = 0;
-              st_wall_s = None;
-            })
-      !order
+        | _ -> in_flight)
+      (Runner.replay sets)
   in
-  let count st = List.length (List.filter (fun a -> a.st_status = st) apps) in
-  let finished = List.length (List.filter (fun a -> a.st_status <> "in-flight") apps) in
-  ( apps,
-    finished,
-    count "ok",
-    count "degraded",
-    count "quarantined",
-    List.length (List.filter (fun a -> a.st_cached) apps),
-    sorted_counts retries,
-    sorted_counts crashes,
-    match (!first_stamp, !last_stamp) with
-    | Some a, Some b when b >= a -> Some (b -. a)
-    | _ -> None )
+  let count p = List.length (List.filter p apps) in
+  let status st a = a.st_status = st in
+  {
+    rs_config = config;
+    rs_apps = apps;
+    rs_finished = count (fun a -> a.st_status <> "in-flight");
+    rs_ok = count (status "ok");
+    rs_degraded = count (status "degraded");
+    rs_quarantined = count (status "quarantined");
+    rs_cached = count (fun a -> a.st_cached);
+    rs_retries = sorted_counts retries;
+    rs_crashes = sorted_counts crashes;
+    rs_wall_s = Option.map (fun (lo, hi) -> hi -. lo) !span;
+    rs_dropped = dropped;
+    rs_cache_entries = None;
+    rs_phases = [];
+    rs_hotspots = [];
+    rs_wastes = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Optional artifacts                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Cache entries on disk: every non-hidden regular file is one stored
-   result (the store writes temp files dot-prefixed, so mid-write temps
-   never count). *)
-let cache_entries dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> None
-  | names ->
-      Some
-        (Array.fold_left
-           (fun n name ->
-             if
-               String.length name > 0
-               && name.[0] <> '.'
-               && not (Sys.is_directory (Filename.concat dir name))
-             then n + 1
-             else n)
-           0 names)
 
 let json_num k j =
   match Json.member k j with
@@ -302,40 +259,30 @@ let profile_of_json contents =
       in
       Ok (hotspots, wastes)
 
-(* Read a journal set: one journal is the classic single-run view; a
-   list is a shard set inspected before (or instead of) running
-   `merge`.  Per-journal shard suffixes are stripped and the bases must
-   agree; events are pooled and stably sorted by stamp (unstamped
-   records first, input order preserved on ties), so the per-app
-   last-record-wins fold sees the fleet's records in wall-clock order.
-   A zero-byte journal — a shard that died between open and header, the
-   stale-lock shape — is an empty run, not an error. *)
-let read_journals paths =
-  let single = match paths with [ _ ] -> true | _ -> false in
-  let dropped = ref 0 in
-  let rec fold cfg acc = function
+(* One journal is the classic single-run view; a list is a shard set
+   inspected before (or instead of) running `merge`.  Per-journal shard
+   suffixes are stripped and the bases must agree.  A zero-byte journal
+   — a shard that died between open and header, the stale-lock shape —
+   is an empty run, not an error. *)
+let of_artifacts ~journals ?cache_dir ?metrics ?profile () =
+  let single = match journals with [ _ ] -> true | _ -> false in
+  let rec read cfg sets dropped = function
     | [] ->
-        let stamped =
-          List.stable_sort
-            (fun (a, _) (b, _) ->
-              let v = function Some s -> s | None -> neg_infinity in
-              compare (v a) (v b))
-            (List.concat (List.rev acc))
-        in
-        Ok ((match cfg with Some (shown, _) -> shown | None -> "(empty journal)"), stamped, !dropped)
+        Ok
+          ( (match cfg with Some (shown, _) -> shown | None -> "(empty journal)"),
+            List.rev sets,
+            dropped )
     | path :: rest -> (
         match Journal.read_lenient ~path with
         | Error msg -> Error msg
         | Ok (None, _, anomalies) ->
-            dropped := !dropped + List.length anomalies;
-            fold cfg acc rest
+            read cfg sets (dropped + List.length anomalies) rest
         | Ok (Some c, events, anomalies) -> (
-            dropped := !dropped + List.length anomalies;
-            let base, _shard = Merge.strip_shard c in
+            let dropped = dropped + List.length anomalies in
+            let base, _shard = Runner.strip_shard c in
             (* A single journal keeps its full fingerprint (the shard
                suffix is informative); a set is reported under the
                shared base, which every member must agree on. *)
-            let shown = if single then c else base in
             match cfg with
             | Some (_, prev) when prev <> base ->
                 Error
@@ -343,26 +290,15 @@ let read_journals paths =
                      "%s: journal configuration %s does not match the other \
                       journals' (%s)"
                      path base prev)
-            | Some _ -> fold cfg (events :: acc) rest
-            | None -> fold (Some (shown, base)) (events :: acc) rest))
+            | Some _ -> read cfg (events :: sets) dropped rest
+            | None ->
+                read
+                  (Some ((if single then c else base), base))
+                  (events :: sets) dropped rest))
   in
-  fold None [] paths
-
-let of_artifacts ~journals ?cache_dir ?metrics ?profile () =
-  match read_journals journals with
+  match read None [] 0 journals with
   | Error msg -> Error msg
-  | Ok (config, events, dropped) -> (
-      let ( apps,
-            finished,
-            ok,
-            degraded,
-            quarantined,
-            cached,
-            retries,
-            crashes,
-            wall ) =
-        of_events events
-      in
+  | Ok (config, sets, dropped) -> (
       let phases =
         match metrics with
         | None -> Ok []
@@ -384,18 +320,10 @@ let of_artifacts ~journals ?cache_dir ?metrics ?profile () =
       | Ok phases, Ok (hotspots, wastes) ->
           Ok
             {
-              rs_config = config;
-              rs_apps = apps;
-              rs_finished = finished;
-              rs_ok = ok;
-              rs_degraded = degraded;
-              rs_quarantined = quarantined;
-              rs_cached = cached;
-              rs_retries = retries;
-              rs_crashes = crashes;
-              rs_wall_s = wall;
-              rs_dropped = dropped;
-              rs_cache_entries = Option.bind cache_dir cache_entries;
+              (of_journals ~config ~dropped sets) with
+              rs_cache_entries =
+                Option.map List.length
+                  (Option.bind cache_dir (fun dir -> Store.entries ~dir));
               rs_phases = phases;
               rs_hotspots = hotspots;
               rs_wastes = wastes;

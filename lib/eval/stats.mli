@@ -54,7 +54,8 @@ type waste = {
 
 type t = {
   rs_config : string;  (** the journal header's config fingerprint *)
-  rs_apps : app list;  (** journal order of first appearance *)
+  rs_apps : app list;
+      (** order of first appearance (journals in input order) *)
   rs_finished : int;
   rs_ok : int;
   rs_degraded : int;
@@ -66,7 +67,9 @@ type t = {
   rs_dropped : int;
       (** corrupt journal records the lenient reader dropped — non-zero
           means the numbers below may undercount a damaged run *)
-  rs_cache_entries : int option;  (** results on disk under the cache dir *)
+  rs_cache_entries : int option;
+      (** results on disk under the cache dir, as
+          {!Extr_store.Store.entries} lists them *)
   rs_phases : phase list;  (** [pipeline.phase_us] series, if metrics given *)
   rs_hotspots : hotspot list;
       (** [--profile-out] artifact rows, self time descending *)
@@ -83,8 +86,9 @@ val of_artifacts :
 (** One journal reconstructs the classic single-run view; several (a
     repeated [--journal] on the CLI) pool a shard set without running
     [merge] first: shard suffixes are stripped from the fingerprints
-    (which must share a base), events merge in stamp order, and the
-    summary covers the whole fleet.  A zero-byte journal — a shard that
+    (which must share a base), per-app rows follow {!Runner.replay}'s
+    winner rule (the one [--resume] and [merge] apply), and the summary
+    covers the whole fleet.  A zero-byte journal — a shard that
     died before writing its header — counts as an empty run, not an
     error.  [Error] when a journal file is unreadable, a non-empty one
     is headerless, the bases disagree, or a given metrics/profile file

@@ -365,16 +365,6 @@ let event_app = function
   | Crashed e -> e.ev_app
   | Finished e -> e.ev_app
 
-let finished events =
-  (* Last lifecycle record per app wins: a Started after a Finished means
-     the app was being re-run when the journal stopped. *)
-  let last = Hashtbl.create 16 in
-  List.iter (fun ev -> Hashtbl.replace last (event_app ev) ev) events;
-  Hashtbl.fold
-    (fun app ev acc ->
-      match ev with Finished _ -> (app, ev) :: acc | _ -> acc)
-    last []
-
 let pp_event fmt = function
   | Started e -> Fmt.pf fmt "started %s (attempt %d)" e.ev_app e.ev_attempt
   | Retried e ->

@@ -2,9 +2,9 @@
 
     [extractocol --all] appends one record per per-app state transition
     — started, retried, crashed, finished — so a killed run can be
-    resumed: [--resume] replays the journal, skips every app with a
-    [finished] record (restoring its result from the content-addressed
-    cache when possible) and re-runs the rest.  The serialized form is
+    resumed: [--resume] replays the journal, restores every app whose
+    last record is [finished] (its report from the content-addressed
+    cache) and re-runs the rest.  The serialized form is
     JSONL, one record per line, with a header line carrying the
     configuration fingerprint; resuming under a different configuration
     is refused, because the journaled results would not match what the
@@ -119,9 +119,7 @@ val append : t -> event -> unit
 
 val path : t -> string
 
-val finished : event list -> (string * event) list
-(** The [(app, record)] pairs for apps whose last lifecycle record is
-    [Finished] — the apps [--resume] may skip.  An app that started
-    again after finishing (a later [Started] record) is not included. *)
+val event_app : event -> string
+(** The app a record belongs to. *)
 
 val pp_event : Format.formatter -> event -> unit

@@ -103,7 +103,9 @@ let open_ ?(sweep_age_s = 3600.) ~dir () =
 
 let dir t = t.st_dir
 
-let entry_path t k = Filename.concat t.st_dir (k ^ ".json")
+(* The on-disk layout of one entry; nothing outside this module knows it. *)
+let entry_path dir k = Filename.concat dir (k ^ ".json")
+
 
 let m_hits =
   Metrics.counter ~help:"result-cache lookups that found an entry" "cache.hits"
@@ -160,7 +162,7 @@ let flip_byte s =
   end
 
 let find t k =
-  let path = entry_path t k in
+  let path = entry_path t.st_dir k in
   let raw =
     if Sys.file_exists path then
       try Some (In_channel.with_open_text path In_channel.input_all)
@@ -200,23 +202,48 @@ let store t k contents =
     | Some _ | None -> Some data
   in
   match data with
-  | Some data -> Export.write_file (entry_path t k) data
+  | Some data -> Export.write_file (entry_path t.st_dir k) data
   | None -> ()
+
+(* The one entry listing: every [*.json] file under [dir] (write temps
+   are dot-prefixed, so a mid-write temp never counts), sorted.  [None]
+   when the directory cannot be read. *)
+let entries ~dir =
+  match Sys.readdir dir with
+  | exception Sys_error _ -> None
+  | names ->
+      Array.sort compare names;
+      Some
+        (List.filter
+           (fun name -> Filename.check_suffix name ".json" && name.[0] <> '.')
+           (Array.to_list names))
+
+(* Read-only probe for offline readers: no metrics, no fault site, so
+   inspecting artifacts never perturbs a run's counters or injections. *)
+let lookup ~dir k =
+  let path = entry_path dir k in
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error _ -> None
+  | raw ->
+      let verdict = decode raw in
+      Result.iter_error
+        (fun reason -> Log.warn (fun m -> m "%s: corrupt cache entry (%s)" path reason))
+        verdict;
+      Some (path, verdict)
 
 (* Offline integrity audit for [stats --verify]: decode every entry in
    a cache directory without serving it. *)
 let audit ~dir =
-  let names = try Sys.readdir dir with Sys_error _ -> [||] in
-  Array.fold_left
-    (fun (total, corrupt) name ->
-      if Filename.check_suffix name ".json" && name.[0] <> '.' then
-        let path = Filename.concat dir name in
-        match In_channel.with_open_text path In_channel.input_all with
-        | exception Sys_error msg -> (total + 1, (name, msg) :: corrupt)
+  let names = Option.value ~default:[] (entries ~dir) in
+  let corrupt =
+    List.filter_map
+      (fun name ->
+        match In_channel.with_open_text (Filename.concat dir name) In_channel.input_all with
+        | exception Sys_error msg -> Some (name, msg)
         | raw -> (
             match decode raw with
-            | Result.Ok _ -> (total + 1, corrupt)
-            | Result.Error reason -> (total + 1, (name, reason) :: corrupt))
-      else (total, corrupt))
-    (0, []) names
-  |> fun (total, corrupt) -> (total, List.rev corrupt)
+            | Result.Ok _ -> None
+            | Result.Error reason -> Some (name, reason)))
+      names
+  in
+  (List.length names, corrupt)

@@ -80,7 +80,19 @@ val set_integrity : bool -> unit
 (** Benchmark knob: [false] stores unsealed (legacy) entries so the
     digest overhead can be measured differentially.  Default [true]. *)
 
+val entries : dir:string -> string list option
+(** The one listing of a cache directory's entries: every [*.json]
+    file name, sorted ([stats]' on-disk count and {!audit} both use
+    it, so a stray file never counts).  [None] when [dir] cannot be
+    read. *)
+
+val lookup : dir:string -> key -> (string * (string, string) result) option
+(** Read-only probe of one entry for offline readers ([merge]): [None]
+    when the entry is absent or unreadable, else its path and {!decode}'s
+    verdict (a failed seal is logged).  Unlike {!find} it bumps no
+    metric and consults no fault site. *)
+
 val audit : dir:string -> int * (string * string) list
-(** Offline integrity audit ([stats --verify]): decode every [*.json]
-    entry under [dir]; returns the entry count and the corrupt ones as
+(** Offline integrity audit ([stats --verify]): decode every entry
+    {!entries} lists; returns the entry count and the corrupt ones as
     [(filename, reason)]. *)

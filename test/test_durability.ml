@@ -179,11 +179,11 @@ let test_journal_round_trip () =
         Alcotest.(list string)
         "events survive the round trip" (List.map render events)
         (List.map render loaded);
-      (match Journal.finished loaded with
-      | [ ("app-a", Journal.Finished f) ] ->
+      match Runner.replay [ List.map (fun ev -> (None, ev)) loaded ] with
+      | [ { Runner.rp_final = { Runner.fn_app = "app-a"; fn_finished = Some (_, Journal.Finished f); _ }; _ } ] ->
           check Alcotest.string "status" "ok" f.ev_status;
           check Alcotest.int "txs" 4 f.ev_txs
-      | _ -> Alcotest.fail "expected one finished app")
+      | _ -> Alcotest.fail "expected one finished app"
 
 let test_journal_config_mismatch_refused () =
   let path = Filename.temp_file "journal" ".jsonl" in
@@ -330,16 +330,6 @@ let test_journal_legacy_unsealed_accepted () =
       check Alcotest.int "unsealed records accepted" 4 (List.length events);
       check Alcotest.int "no anomaly for legacy records" 0
         (List.length anomalies)
-
-let test_journal_finished_excludes_restarted () =
-  let events =
-    [ ev_started "a"; ev_finished "a"; ev_started "b"; ev_finished "b";
-      ev_started "a" (* a started again after finishing *) ]
-  in
-  check
-    Alcotest.(list string)
-    "only apps whose last record is finished" [ "b" ]
-    (List.map fst (Journal.finished events))
 
 (* ------------------------------------------------------------------ *)
 (* Content-addressed store                                            *)
@@ -770,6 +760,37 @@ let pool_entries () =
 
 let report o r = Runner.report_json ~config:(Runner.config_fingerprint o) r
 
+let test_runner_resume_rejects_non_report () =
+  (* A headerless cache entry passes the seal check unverified (legacy
+     caches are unsealed).  When it is not a report, --resume must apply
+     the same shape check a warm-run hit does and re-run the app, never
+     splice the bytes into the envelope. *)
+  let dir = tmp_dir () in
+  let o =
+    {
+      (quiet_options ()) with
+      Runner.ro_journal = Some (Filename.concat dir "journal.jsonl");
+      ro_cache_dir = Some (Filename.concat dir "cache");
+    }
+  in
+  let cold = run_ok o (entries ()) in
+  let first = List.hd (entries ()) in
+  let key =
+    Store.key ~config:(Runner.config_fingerprint o) (Lazy.force first.Corpus.c_apk)
+  in
+  Store.set_integrity false;
+  Store.store (Store.open_ ~dir:(Filename.concat dir "cache") ()) key
+    "{\"transactions\":[";
+  Store.set_integrity true;
+  let resumed = run_ok { o with Runner.ro_resume = true } (entries ()) in
+  (match resumed.Runner.rn_results with
+  | a :: _ -> check Alcotest.bool "the app re-ran" false a.Runner.ar_resumed
+  | [] -> Alcotest.fail "missing results");
+  let envelope = report o resumed in
+  check Alcotest.bool "envelope is JSON" true (Json.of_string_opt envelope <> None);
+  check Alcotest.string "byte-identical to the uninterrupted run" (report o cold)
+    envelope
+
 let test_pool_byte_identical () =
   let es = pool_entries () in
   let o = quiet_options () in
@@ -872,8 +893,6 @@ let () =
             test_journal_interleaved_partial_record;
           tc "legacy unsealed journal accepted"
             test_journal_legacy_unsealed_accepted;
-          tc "finished excludes restarted apps"
-            test_journal_finished_excludes_restarted;
         ] );
       ( "store",
         [
@@ -895,6 +914,8 @@ let () =
           tc "degradation exits 3" test_runner_degraded_exit_code;
           tc "warm cache restores identical bytes" test_runner_warm_cache;
           tc "kill + resume is byte-identical" test_runner_resume_byte_identical;
+          tc "resume re-runs a cached non-report"
+            test_runner_resume_rejects_non_report;
           tc "resume refuses a changed configuration"
             test_runner_resume_refuses_config_mismatch;
           tc "fingerprints pinned" test_fingerprints_pinned;

@@ -13,6 +13,7 @@ module Journal = Extr_resilience.Journal
 module Corpus = Extr_corpus.Corpus
 module Runner = Extr_eval.Runner
 module Stats = Extr_eval.Stats
+module Store = Extr_store.Store
 module Progress = Extr_eval.Progress
 
 let check = Alcotest.check
@@ -185,12 +186,17 @@ let test_stats_matches_resume_view () =
   (match Journal.load ~path ~config:"cfg" () with
   | Error msg -> Alcotest.fail msg
   | Ok (_, events, _) ->
+      (* --resume restores exactly the apps whose journal verdict
+         resolves (with or without a cached report to splice). *)
       let resume_finished =
-        Journal.finished events
-        |> List.map (fun (app, ev) ->
-               match ev with
-               | Journal.Finished { ev_status; _ } -> (app, ev_status)
-               | _ -> (app, "?"))
+        Runner.replay [ List.map (fun ev -> (None, ev)) events ]
+        |> List.filter_map (fun { Runner.rp_final; rp_result } ->
+               match rp_result with
+               | Ok r
+               | Error (Runner.Report_missing r | Runner.Report_corrupt (r, _)) ->
+                   Some (rp_final.Runner.fn_app, Runner.status_name r.Runner.ar_status)
+               | Error (Runner.No_record | Runner.In_flight | Runner.Unknown_status _) ->
+                   None)
         |> List.sort compare
       in
       let stats_finished =
@@ -260,6 +266,33 @@ let test_stats_phase_percentiles_from_metrics () =
           Alcotest.failf "expected one phase row, got %d" (List.length l)));
   Sys.remove jpath;
   Sys.remove mpath
+
+let test_stats_cache_entries_match_verify () =
+  (* One listing: a stray non-entry file in the cache directory counts
+     neither in stats' "entries on disk" nor in --verify's audit. *)
+  let dir = tmp_path "stray-cache" in
+  let store = Store.open_ ~dir () in
+  List.iter
+    (fun c ->
+      Store.store store
+        (Option.get (Store.key_of_string (String.make 32 c)))
+        "{\"transactions\":[],\"degradations\":[]}")
+    [ '1'; '2' ];
+  Out_channel.with_open_text (Filename.concat dir "notes.txt") (fun oc ->
+      Out_channel.output_string oc "not an entry");
+  let jpath = tmp_path "stray.jsonl" in
+  let j = Journal.create ~path:jpath ~config:"cfg" () in
+  Journal.append j (finished "a");
+  (match Stats.of_artifacts ~journals:[ jpath ] ~cache_dir:dir () with
+  | Error msg -> Alcotest.fail msg
+  | Ok t ->
+      check Alcotest.(option int) "stats counts entries only" (Some 2)
+        t.Stats.rs_cache_entries);
+  check Alcotest.int "verify counts the same entries" 2
+    (Stats.verify ~journals:[ jpath ] ~cache_dir:dir ()).Stats.vr_cache_checked;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  Sys.remove jpath
 
 let test_stats_missing_journal () =
   match Stats.of_artifacts ~journals:[ tmp_path "nope.jsonl" ] () with
@@ -516,6 +549,8 @@ let () =
           tc "phase percentiles from metrics"
             test_stats_phase_percentiles_from_metrics;
           tc "missing journal is an error" test_stats_missing_journal;
+          tc "cache entries counted like --verify"
+            test_stats_cache_entries_match_verify;
         ] );
       ( "progress",
         [

@@ -11,6 +11,7 @@ module Journal = Extr_resilience.Journal
 module Runner = Extr_eval.Runner
 module Merge = Extr_eval.Merge
 module Stats = Extr_eval.Stats
+module Store = Extr_store.Store
 module Clock = Extr_telemetry.Clock
 module Export = Extr_telemetry.Export
 
@@ -144,7 +145,7 @@ let test_generator_rows_sane () =
 let test_strip_shard () =
   let kn = Alcotest.(option (pair int int)) in
   let case config want_base want_kn =
-    let base, shard = Merge.strip_shard config in
+    let base, shard = Runner.strip_shard config in
     check Alcotest.string "base" want_base base;
     check kn "shard" want_kn shard
   in
@@ -160,7 +161,7 @@ let test_strip_shard () =
   let o =
     { Runner.default_options with Runner.ro_shard = Some (2, 3) }
   in
-  let base, shard = Merge.strip_shard (Runner.journal_fingerprint o) in
+  let base, shard = Runner.strip_shard (Runner.journal_fingerprint o) in
   check Alcotest.string "runner base recovered"
     (Runner.config_fingerprint o) base;
   check kn "runner shard recovered" (Some (2, 3)) shard
@@ -336,6 +337,243 @@ let test_stats_pools_shard_journals () =
             (Runner.config_fingerprint base_o)
             st.Stats.rs_config)
 
+(* ------------------------------------------------------------------ *)
+(* One replay, three readers                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A journal written by hand: the header, then each (stamp, record) as
+   the runner would append it; [corrupt] records get a tampered body
+   under their original seal, so the reader drops them. *)
+let write_journal path ~config records =
+  let line (stamp, corrupt, ev) =
+    let l = Journal.line_of_event ~stamp ev in
+    if not corrupt then l
+    else
+      let i = String.index l ':' in
+      String.sub l 0 i ^ " " ^ String.sub l i (String.length l - i)
+  in
+  write path
+    (String.concat "\n"
+       (Journal.header_line ~config () :: List.map line records)
+    ^ "\n")
+
+let started app = Journal.Started { ev_app = app; ev_key = ""; ev_attempt = 1 }
+
+let finished ?(cached = false) ?(attempts = 1) ?(key = "") app status =
+  Journal.Finished
+    {
+      ev_app = app;
+      ev_key = key;
+      ev_status = status;
+      ev_cached = cached;
+      ev_attempts = attempts;
+      ev_txs = 0;
+    }
+
+let crashed app phase exn = Journal.Crashed { ev_app = app; ev_phase = phase; ev_exn = exn }
+
+type resume_view = Restored of string | Rerun
+
+type merge_view =
+  | Merged of string
+  | Merged_degraded of string * string  (* status, degradation reason *)
+  | Missing
+
+type row = {
+  rw_case : string;
+  rw_records : string -> (bool * Journal.event) list;  (* corrupt?, record *)
+  rw_resume : resume_view;
+  rw_merge : merge_view;
+  rw_stats : string;
+  rw_cached : bool;
+}
+
+let k_ok = String.make 32 '1'
+let k_degraded = String.make 32 '2'
+let k_cached = String.make 32 '3'
+let k_torn = String.make 32 '4'
+let k_absent = String.make 32 '5'
+
+let replay_rows =
+  let intact = List.map (fun ev -> (false, ev)) in
+  [
+    { rw_case = "ok"; rw_records = (fun a -> intact [ started a; finished ~key:k_ok a "ok" ]);
+      rw_resume = Restored "ok"; rw_merge = Merged "ok"; rw_stats = "ok"; rw_cached = false };
+    { rw_case = "degraded";
+      rw_records =
+        (fun a ->
+          intact
+            [ started a;
+              Journal.Retried { ev_app = a; ev_attempt = 2; ev_reason = "budget" };
+              finished ~key:k_degraded ~attempts:2 a "degraded" ]);
+      rw_resume = Restored "degraded"; rw_merge = Merged "degraded"; rw_stats = "degraded";
+      rw_cached = false };
+    { rw_case = "cached";
+      rw_records = (fun a -> intact [ finished ~key:k_cached ~cached:true ~attempts:0 a "ok" ]);
+      rw_resume = Restored "ok"; rw_merge = Merged "ok"; rw_stats = "ok"; rw_cached = true };
+    { rw_case = "quarantined with a crash";
+      rw_records =
+        (fun a ->
+          intact [ started a; crashed a "pipeline.slicing" "boom"; finished ~attempts:2 a "quarantined" ]);
+      rw_resume = Restored "quarantined"; rw_merge = Merged "quarantined";
+      rw_stats = "quarantined"; rw_cached = false };
+    (* The behaviour change merge shares with --resume: a Started after a
+       Finished voids it, and no other journal finishes the app. *)
+    { rw_case = "finished, then restarted";
+      rw_records = (fun a -> intact [ started a; finished ~key:k_ok a "ok"; started a ]);
+      rw_resume = Rerun; rw_merge = Missing; rw_stats = "in-flight"; rw_cached = false };
+    { rw_case = "corrupt record";
+      rw_records = (fun a -> [ (false, started a); (true, finished ~key:k_ok a "ok") ]);
+      rw_resume = Rerun; rw_merge = Missing; rw_stats = "in-flight"; rw_cached = false };
+    { rw_case = "unknown status";
+      rw_records = (fun a -> intact [ started a; finished ~key:k_ok a "exotic" ]);
+      rw_resume = Rerun; rw_merge = Missing; rw_stats = "exotic"; rw_cached = false };
+    { rw_case = "cached non-report";
+      rw_records = (fun a -> intact [ started a; finished ~key:k_torn a "ok" ]);
+      rw_resume = Rerun; rw_merge = Merged_degraded ("ok", "corrupt cache entry quarantined");
+      rw_stats = "ok"; rw_cached = false };
+    { rw_case = "report missing";
+      rw_records = (fun a -> intact [ started a; finished ~key:k_absent a "ok" ]);
+      rw_resume = Rerun; rw_merge = Merged_degraded ("ok", "cache entry missing");
+      rw_stats = "ok"; rw_cached = false };
+  ]
+
+let test_replay_readers_agree () =
+  let dir = tmp_dir () in
+  let count = List.length replay_rows in
+  let es = Corpus.generated ~seed:gen_seed ~count in
+  let jpath = Filename.concat dir "crafted.jsonl" in
+  let cdir = Filename.concat dir "crafted-cache" in
+  let o =
+    {
+      Runner.default_options with
+      Runner.ro_sleep = fst (Clock.sleep_recording ());
+      ro_journal = Some jpath;
+      ro_cache_dir = Some cdir;
+      ro_resume = true;
+      ro_corpus_tag = Some (Printf.sprintf "gen=%d:%d" gen_seed count);
+    }
+  in
+  let rows = List.combine (List.map fst (Runner.identify es)) replay_rows in
+  write_journal jpath ~config:(Runner.journal_fingerprint o)
+    (List.mapi
+       (fun i (corrupt, ev) -> (float_of_int (i + 1), corrupt, ev))
+       (List.concat_map (fun (id, r) -> r.rw_records id) rows));
+  let store = Store.open_ ~dir:cdir () in
+  let put key data = Store.store store (Option.get (Store.key_of_string key)) data in
+  put k_ok {|{"transactions":[],"degradations":[]}|};
+  put k_cached {|{"transactions":[],"degradations":[]}|};
+  put k_degraded
+    {|{"transactions":[],"degradations":[{"phase":"slicing","reason":"budget","detail":"d","work_left":3}]}|};
+  (* Headerless entries pass the seal check unverified; this one is not a
+     report, so every reader must treat it as unusable. *)
+  Store.set_integrity false;
+  put k_torn {|{"transactions":[|};
+  Store.set_integrity true;
+  (* The offline readers first: --resume appends to the journal. *)
+  let merged = merge_ok ~options:o ~entries:es ~journals:[ jpath ] ~cache_dirs:[ cdir ] () in
+  let stats =
+    match Stats.of_artifacts ~journals:[ jpath ] () with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let resumed = run_ok o es in
+  let find_result label results id =
+    match List.find_opt (fun (a : Runner.app_result) -> a.Runner.ar_app = id) results with
+    | Some a -> a
+    | None -> Alcotest.failf "%s: no result for %s" label id
+  in
+  List.iter
+    (fun (id, r) ->
+      let msg what = Printf.sprintf "%s: %s" r.rw_case what in
+      let crash_phase (a : Runner.app_result) =
+        Option.map (fun c -> c.Extr_resilience.Resilience.Barrier.cr_phase) a.Runner.ar_crash
+      in
+      let expect_crash status =
+        if status = "quarantined" then Some "pipeline.slicing" else None
+      in
+      (* --resume: restored from the replay, or re-run. *)
+      let a = find_result "resume" resumed.Runner.rn_results id in
+      (match r.rw_resume with
+      | Restored status ->
+          check Alcotest.bool (msg "resume restores") true a.Runner.ar_resumed;
+          check Alcotest.string (msg "resume status") status
+            (Runner.status_name a.Runner.ar_status);
+          check Alcotest.bool (msg "resume cached flag") r.rw_cached a.Runner.ar_cached;
+          check Alcotest.(option string) (msg "resume crash") (expect_crash status)
+            (crash_phase a)
+      | Rerun -> check Alcotest.bool (msg "resume re-runs") false a.Runner.ar_resumed);
+      (* merge: a result, a result plus a degradation, or a missing app. *)
+      let degraded_reasons =
+        List.filter_map
+          (fun (d : Merge.degradation) ->
+            if d.Merge.md_app = id then Some d.Merge.md_reason else None)
+          merged.Merge.mg_degradations
+      in
+      let merged_as status reasons =
+        let a = find_result "merge" merged.Merge.mg_run.Runner.rn_results id in
+        check Alcotest.string (msg "merge status") status (Runner.status_name a.Runner.ar_status);
+        check Alcotest.bool (msg "merge cached flag") r.rw_cached a.Runner.ar_cached;
+        check Alcotest.(option string) (msg "merge crash") (expect_crash status) (crash_phase a);
+        check Alcotest.(list string) (msg "merge degradations") reasons degraded_reasons;
+        check Alcotest.bool (msg "not missing") false (List.mem id merged.Merge.mg_missing_apps)
+      in
+      (match r.rw_merge with
+      | Merged status -> merged_as status []
+      | Merged_degraded (status, reason) -> merged_as status [ reason ]
+      | Missing ->
+          check Alcotest.bool (msg "merge lists it missing") true
+            (List.mem id merged.Merge.mg_missing_apps);
+          check Alcotest.bool (msg "merge has no result") false
+            (List.exists
+               (fun (a : Runner.app_result) -> a.Runner.ar_app = id)
+               merged.Merge.mg_run.Runner.rn_results));
+      (* stats: the same verdict per app. *)
+      match List.find_opt (fun a -> a.Stats.st_app = id) stats.Stats.rs_apps with
+      | None -> Alcotest.failf "%s: stats has no row" r.rw_case
+      | Some a ->
+          check Alcotest.string (msg "stats status") r.rw_stats a.Stats.st_status;
+          check Alcotest.bool (msg "stats cached flag") r.rw_cached a.Stats.st_cached)
+    rows;
+  check Alcotest.int "missing apps make a partial merge" 4 (Merge.exit_code merged);
+  check Alcotest.int "the corrupt record is counted" 1 stats.Stats.rs_dropped
+
+let test_merge_crash_from_winning_journal () =
+  (* Journal A quarantined the app (crash at t=2, finished at t=5);
+     journal B crashed it later (t=3) and was killed mid-retry.  A's
+     Finished wins, so the envelope and the merged journal must carry
+     A's crash, not the newest one in the shard set. *)
+  let dir = tmp_dir () in
+  let es = entries () in
+  let o = opts ~dir "crash" in
+  let id = fst (List.hd (Runner.identify es)) in
+  let config = Runner.journal_fingerprint o in
+  let a = Filename.concat dir "a.jsonl" and b = Filename.concat dir "b.jsonl" in
+  write_journal a ~config
+    [ (1.0, false, started id); (2.0, false, crashed id "pipeline.slicing" "from A");
+      (5.0, false, finished id "quarantined") ];
+  write_journal b ~config
+    [ (1.5, false, started id); (3.0, false, crashed id "pipeline.interpretation" "from B");
+      (4.0, false, Journal.Retried { ev_app = id; ev_attempt = 2; ev_reason = "crash" }) ];
+  let t = merge_ok ~options:o ~entries:es ~journals:[ a; b ] () in
+  (match t.Merge.mg_run.Runner.rn_results with
+  | [ r ] ->
+      check Alcotest.(option (pair string string)) "crash from the winning journal"
+        (Some ("pipeline.slicing", "from A"))
+        (Option.map
+           (fun c ->
+             Extr_resilience.Resilience.Barrier.(c.cr_phase, c.cr_exn))
+           r.Runner.ar_crash)
+  | l -> Alcotest.failf "expected one merged app, got %d" (List.length l));
+  let contains ~needle hay =
+    let n = String.length needle and h = String.length hay in
+    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+    go 0
+  in
+  let mj = Merge.journal_contents t in
+  check Alcotest.bool "merged journal keeps A's crash" true (contains ~needle:"from A" mj);
+  check Alcotest.bool "merged journal drops B's crash" false (contains ~needle:"from B" mj)
+
 let () =
   Alcotest.run "shard"
     [
@@ -365,4 +603,11 @@ let () =
       ( "stats",
         [ tc "pools a shard set into one view" test_stats_pools_shard_journals ]
       );
+      ( "replay",
+        [
+          tc "resume, merge and stats agree on every journal shape"
+            test_replay_readers_agree;
+          tc "a quarantined app's crash comes from its winning journal"
+            test_merge_crash_from_winning_journal;
+        ] );
     ]
